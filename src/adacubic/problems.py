@@ -229,11 +229,18 @@ def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float,
                                resolution: int = 200) -> np.ndarray:
     """Grid minimizer of g^T s + 1/2 s^T Diag(b) s over ||s||_2^3 <= xi.
 
-    Reference oracle for the dual-variable solver: a dense grid over the
-    bounding cube, masked to the ball, refined by a local projected-gradient
-    polish (coordinate descent stalls on boundary minimizers, so the polish
-    walks along the sphere instead).  Accuracy is O(xi^(1/3)/resolution) per
+    Reference oracle for the dual-variable solver: a grid over the bounding
+    cube, masked to the ball, refined by a local projected-gradient polish
+    (coordinate descent stalls on boundary minimizers, so the polish walks
+    along the sphere instead).  Accuracy is O(xi^(1/3)/resolution) per
     coordinate.  Deliberately independent of any secular-equation machinery.
+
+    The grid is never held whole: the sums over all axes but the last are
+    formed once, and the last axis is added one slab of the first axis at a
+    time (for d = 3, slabs of resolution^2 points), so working memory is
+    O(resolution^(d-1)).  Every grid value is summed in axis order, as a
+    dense evaluation would, and ties go to the first point in C order, so
+    the grid argmin is the dense grid's.
     """
     b = np.asarray(b, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -247,14 +254,34 @@ def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float,
     r = xi ** (1.0 / 3.0)
 
     axes = [np.linspace(-r, r, resolution)] * d
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    m = np.zeros((resolution,) * d)
-    sq = np.zeros((resolution,) * d)
-    for i in range(d):
-        m = m + g[i] * grids[i] + 0.5 * b[i] * grids[i] ** 2
-        sq = sq + grids[i] ** 2
-    m = np.where(sq <= r * r, m, np.inf)
-    best = np.unravel_index(np.argmin(m), m.shape)
+    # model and squared norm summed over every axis but the last, flattened
+    # in C order: one row per grid line along the last axis
+    grids = np.meshgrid(*axes[:-1], indexing="ij", sparse=True)
+    head_m = np.zeros((resolution,) * (d - 1))
+    head_sq = np.zeros((resolution,) * (d - 1))
+    for i in range(d - 1):
+        head_m = head_m + g[i] * grids[i] + 0.5 * b[i] * grids[i] ** 2
+        head_sq = head_sq + grids[i] ** 2
+    head_m = head_m.reshape(-1, 1)
+    head_sq = head_sq.reshape(-1, 1)
+    last = axes[-1]
+    last_lin, last_quad, last_sq = g[-1] * last, 0.5 * b[-1] * last ** 2, last ** 2
+
+    # one slab of the first axis at a time, into reused buffers: fresh
+    # slab-sized temporaries cost more than the arithmetic
+    slab_rows = min(resolution, head_m.shape[0])
+    m, sq = np.empty((slab_rows, resolution)), np.empty((slab_rows, resolution))
+    best_flat, best_val = 0, np.inf
+    for start in range(0, head_m.shape[0], slab_rows):
+        rows = slice(start, start + slab_rows)
+        np.add(head_m[rows], last_lin, out=m)
+        m += last_quad
+        np.add(head_sq[rows], last_sq, out=sq)
+        m[sq > r * r] = np.inf
+        k = int(np.argmin(m))
+        if m.flat[k] < best_val:  # strict: the earliest slab keeps a tie
+            best_flat, best_val = start * resolution + k, m.flat[k]
+    best = np.unravel_index(best_flat, (resolution,) * d)
     s = np.array([axes[i][best[i]] for i in range(d)])
 
     # projected-gradient polish with backtracking, starting from the grid

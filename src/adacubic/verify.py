@@ -21,6 +21,13 @@ def random_instance(rng: np.random.Generator, max_dim: int = 10):
     return b, g, xi
 
 
+def cubic_model(b: np.ndarray, g: np.ndarray, nu: float, s: np.ndarray):
+    """g^T s + 1/2 s^T Diag(b) s + (nu/6)||s||^3 at s, or at each row of a
+    (points x d) array s."""
+    return (s @ g + 0.5 * np.sum(s * (b * s), axis=-1)
+            + nu / 6.0 * np.linalg.norm(s, axis=-1) ** 3)
+
+
 def kkt_suite(n: int = 500, seed: int = 12345) -> tuple:
     """Stationarity, shifted curvature, slackness, model decrease, and the
     Newton iteration budget, over random subproblem instances."""
@@ -72,21 +79,28 @@ def duality_suite(n: int = 100, seed: int = 777, resolution: int = 200,
         coord_err = float(np.max(np.abs(sol.s - ref))) / (2.0 * r / resolution)
         worst_coord = max(worst_coord, coord_err)
 
-        def cubic_model(s):
-            return float(g @ s + 0.5 * s @ (b * s)
-                         + sol.nu / 6.0 * np.linalg.norm(s) ** 3)
-
-        m_star = cubic_model(sol.s)
+        m_star = cubic_model(b, g, sol.nu, sol.s)
         deltas = rng.standard_normal((probes, b.size))
         deltas *= (0.5 * rng.random(probes) ** (1.0 / b.size)
                    / np.linalg.norm(deltas, axis=1))[:, None]
-        gap = min(cubic_model(sol.s + dlt) - m_star for dlt in deltas)
+        gap = float(np.min(cubic_model(b, g, sol.nu, sol.s + deltas) - m_star))
         worst_probe = max(worst_probe, -gap)
         if coord_err > 1.0 or gap < 0.0:
             ok = False
     detail = (f"n={n} max coord err/grid-tol={worst_coord:.3f} "
               f"worst probe violation={worst_probe:.3e}")
     return "duality", ok, detail
+
+
+def newton_step_stays_below(b: np.ndarray, g: np.ndarray, nu: float,
+                            nu_next: float, r: float, xi: float) -> bool:
+    """Whether a Newton step from phi(nu) < 0 increases nu without crossing
+    the root: phi(nu_next) < 1e-12, plus eps*|nu_next|*phi'(nu_next), the
+    change in phi across one ulp of nu_next that round-off alone can cause."""
+    if not nu_next > nu:
+        return False
+    ulp_nu = np.finfo(float).eps * abs(nu_next)
+    return phi(b, g, nu_next, r, xi) < 1e-12 + ulp_nu * dphi_dnu(b, g, nu_next, r)
 
 
 def phi_calculus_suite(n: int = 200, seed: int = 4242) -> tuple:
@@ -134,7 +148,7 @@ def phi_calculus_suite(n: int = 200, seed: int = 4242) -> tuple:
                 if abs(p) < 1e-12:
                     break
                 nxt = nu_it - p / dphi_dnu(b, g, nu_it, r)
-                if p < 0.0 and not (nxt > nu_it and phi(b, g, nxt, r, xi) < 1e-12):
+                if p < 0.0 and not newton_step_stays_below(b, g, nu_it, nxt, r, xi):
                     ok = False
                     break
                 nu_it = nxt

@@ -199,3 +199,57 @@ def test_brute_force_input_validation():
         brute_force_subproblem_min(np.ones(2), np.ones(2), 1.0, resolution=50)
     with pytest.raises(ValueError):
         brute_force_subproblem_min(np.ones(2), np.ones(2), 0.0)
+
+
+def _dense_brute_force(b, g, xi, resolution=200):
+    """The brute-force oracle with its grid held whole, as one dense
+    resolution^d array: the reference for its slab-by-slab evaluation."""
+    d = b.size
+    r = xi ** (1.0 / 3.0)
+    axes = [np.linspace(-r, r, resolution)] * d
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    m = np.zeros((resolution,) * d)
+    sq = np.zeros((resolution,) * d)
+    for i in range(d):
+        m = m + g[i] * grids[i] + 0.5 * b[i] * grids[i] ** 2
+        sq = sq + grids[i] ** 2
+    m = np.where(sq <= r * r, m, np.inf)
+    best = np.unravel_index(np.argmin(m), m.shape)
+    s = np.array([axes[i][best[i]] for i in range(d)])
+
+    def model(v):
+        return float(g @ v + 0.5 * v @ (b * v))
+
+    step = 1.0 / max(float(np.max(np.abs(b))), 1e-2)
+    cur = model(s)
+    for _ in range(1000):
+        cand = s - step * (g + b * s)
+        norm = float(np.linalg.norm(cand))
+        if norm > r:
+            cand *= r / norm
+        val = model(cand)
+        if val < cur:
+            s, cur = cand, val
+            step *= 1.2
+        else:
+            step *= 0.5
+            if step < 1e-14 * r:
+                break
+    return s
+
+
+def test_brute_force_matches_dense_grid_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = []
+    for d in (1, 2, 3):
+        b = rng.uniform(-2.0, 2.0, size=d)
+        g = rng.uniform(-1.0, 1.0, size=d)
+        # equal entries of b and of g tie each point with its permutations,
+        # which for d >= 2 lie in other slabs of the first axis; with g = 0
+        # as well, every grid point of the largest radius ties
+        cases += [(b, g, 0.3), (b, np.zeros(d), 1.7),
+                  (np.full(d, -0.8), np.full(d, 0.3), 0.05),
+                  (np.full(d, -0.8), np.zeros(d), 0.4)]
+    for b, g, xi in cases:
+        s = brute_force_subproblem_min(b, g, xi)
+        assert np.array_equal(s, _dense_brute_force(b, g, xi)), (b, g, xi)
