@@ -65,7 +65,7 @@ def _cmd_run(args) -> int:
 def _cmd_deviation(args) -> int:
     cfg = harness.load_config(args.config)
     for name, params in cfg.problems.items():
-        obj, x0 = harness.build_problem(params)
+        obj, x0 = cfg.built_problem(params)
         if obj.num_samples > 0:
             break
     else:

@@ -56,12 +56,10 @@ class AdaCubicConfig:
 
 @dataclass
 class TrustRegionState:
-    """Cube of the trust radius plus bookkeeping for one optimization run."""
+    """Cube of the trust radius and the iteration count of one run."""
 
     xi: float = 1.0
     iteration: int = 0
-    last_rho: float | None = None
-    last_step_norm_cubed: float | None = None
 
 
 def classify_iteration(rho: float, cfg: AdaCubicConfig) -> IterationClass:

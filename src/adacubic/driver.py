@@ -45,45 +45,51 @@ def rho(loss_before: float, loss_after: float, model_value_drop: float) -> float
 
 def adacubic_step(obj: Objective, x: np.ndarray, state: TrustRegionState,
                   cfg: AdaCubicConfig, rng: np.random.Generator,
-                  batch_size: int | None = None):
+                  batch_size: int | None = None,
+                  current: tuple[float, np.ndarray] | None = None):
     """One iteration: estimate curvature, solve the subproblem, accept or reject.
 
     Loss, gradient, curvature probes, and the post-step loss are all
-    evaluated on the same batch.  Returns (x', state', record); x' is x
-    when the step is rejected or degenerate.
+    evaluated on the same batch.  ``current`` is the full-batch
+    ``(loss, gradient)`` at x when the caller already has it; it is taken
+    only when the step draws no batch.  A degenerate step (no predicted
+    decrease) evaluates no post-step loss.  Returns (x', state', record);
+    x' is x when the step is rejected or degenerate.
     """
     batch = None
     if batch_size is not None and obj.num_samples > 0:
         batch = draw_batch(rng, obj.num_samples, batch_size)
+    if current is None:
+        loss_before, g = obj.eval(x, batch), obj.grad(x, batch)
+    elif batch is None:
+        loss_before, g = current
+    else:
+        raise ValueError("current (loss, grad) is full-batch; the step drew a batch")
 
-    loss_before = obj.eval(x, batch)
-    g = obj.grad(x, batch)
     curv = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim,
                            cfg.hutchinson_samples, rng)
     sol = root_finder(curv.b, g, state.xi, cfg)
     s = sol.s
-    step_norm = float(np.linalg.norm(s))
-    loss_after = obj.eval(x + s, batch)
+    # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm
+    step_norm = math.sqrt(s @ s)
+    grad_norm = math.sqrt(g @ g)
 
     degenerate = not (sol.model_decrease > 0.0) or not math.isfinite(sol.model_decrease)
     if degenerate:
-        rec = StepRecord(state.iteration, loss_before, loss_before,
-                         float(np.linalg.norm(g)), float("nan"), sol.nu, state.xi,
-                         step_norm, IterationClass.UNSUCCESSFUL, sol.status, False)
-        new_state = TrustRegionState(xi=state.xi, iteration=state.iteration + 1,
-                                     last_rho=None, last_step_norm_cubed=step_norm ** 3)
-        return x.copy(), new_state, rec
+        rec = StepRecord(state.iteration, loss_before, loss_before, grad_norm,
+                         float("nan"), sol.nu, state.xi, step_norm,
+                         IterationClass.UNSUCCESSFUL, sol.status, False)
+        return x.copy(), TrustRegionState(xi=state.xi, iteration=state.iteration + 1), rec
 
+    loss_after = obj.eval(x + s, batch)
     ratio = rho(loss_before, loss_after, sol.model_decrease)
     accepted = accept_step(ratio, cfg)
     new_xi = update_xi(state, ratio, step_norm ** 3, cfg)
-    rec = StepRecord(state.iteration, loss_before, loss_after,
-                     float(np.linalg.norm(g)), ratio, sol.nu, state.xi, step_norm,
-                     classify_iteration(ratio, cfg), sol.status, accepted)
+    rec = StepRecord(state.iteration, loss_before, loss_after, grad_norm, ratio,
+                     sol.nu, state.xi, step_norm, classify_iteration(ratio, cfg),
+                     sol.status, accepted)
     new_x = x + s if accepted else x.copy()
-    new_state = TrustRegionState(xi=new_xi, iteration=state.iteration + 1,
-                                 last_rho=ratio, last_step_norm_cubed=step_norm ** 3)
-    return new_x, new_state, rec
+    return new_x, TrustRegionState(xi=new_xi, iteration=state.iteration + 1), rec
 
 
 def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
@@ -97,6 +103,11 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
     negative entry does not stop the run, so saddle points (where the
     gradient vanishes exactly) are escaped rather than reported as
     converged.  Two runs with the same seed and config are bit-identical.
+
+    Without a batch, the loss and gradient at the current point are
+    computed once, when the point is reached, and serve the stop check and
+    every step taken from it: an iteration costs one loss evaluation, one
+    gradient if its step is accepted, and the Hessian-vector products.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -105,21 +116,25 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
     state = TrustRegionState(xi=xi0)
     records = []
     full_batch = batch_size is None or obj.num_samples == 0
+    current = (obj.eval(x), obj.grad(x)) if full_batch else None
 
-    def stationary(pt: np.ndarray) -> bool:
-        if float(np.linalg.norm(obj.grad(pt))) > stop_grad_norm:
+    def stationary(pt: np.ndarray, g: np.ndarray) -> bool:
+        if math.sqrt(g @ g) > stop_grad_norm:
             return False
         curv = hutchinson_diag(lambda v: obj.hvp(pt, v), obj.dim,
                                cfg.hutchinson_samples, rng)
         return float(curv.b.min()) >= 0.0
 
     for _ in range(max_iters):
-        if stationary(x):
+        if stationary(x, current[1] if full_batch else obj.grad(x)):
             break
-        x, state, rec = adacubic_step(obj, x, state, cfg, rng, batch_size)
+        x, state, rec = adacubic_step(obj, x, state, cfg, rng, batch_size, current)
         records.append(rec)
-        if math.isnan(rec.rho) and full_batch:
-            break  # stationary model on the full objective: nothing to do
+        if full_batch:
+            if math.isnan(rec.rho):
+                break  # stationary model on the full objective: nothing to do
+            if rec.accepted:
+                current = (rec.loss_after, obj.grad(x))
     return Trajectory(records=records, final_x=x, seed=cfg.rng_seed)
 
 
@@ -128,17 +143,22 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
 # ---------------------------------------------------------------------------
 
 def sgd_step(obj: Objective, x: np.ndarray, lr: float, momentum: float = 0.0,
-             velocity: np.ndarray | None = None, batch=None):
-    g = obj.grad(x, batch)
+             velocity: np.ndarray | None = None, batch=None,
+             g: np.ndarray | None = None):
+    """One SGD step; ``g`` is the gradient at x on ``batch`` if already known."""
+    if g is None:
+        g = obj.grad(x, batch)
     v = momentum * (velocity if velocity is not None else np.zeros_like(x)) + g
     return x - lr * v, v
 
 
 def adam_step(obj: Objective, x: np.ndarray, moments, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-              batch=None):
+              batch=None, g: np.ndarray | None = None):
+    """One Adam step; ``g`` is the gradient at x on ``batch`` if already known."""
     m, v, t = moments
-    g = obj.grad(x, batch)
+    if g is None:
+        g = obj.grad(x, batch)
     t += 1
     m = beta1 * m + (1.0 - beta1) * g
     v = beta2 * v + (1.0 - beta2) * g * g
@@ -155,7 +175,11 @@ def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
     """SGD/Adam run producing the same record schema as the main loop.
 
     The trust-region specific fields (rho, nu, xi, statuses) carry NaN /
-    placeholder values; every step is taken unconditionally.
+    placeholder values; every step is taken unconditionally.  Each
+    iteration takes the full-batch gradient for the stop check and the
+    loss and gradient on its batch; without a batch the stop check's
+    gradient is the step's, and the loss after one step is the loss
+    before the next.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
@@ -164,23 +188,28 @@ def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
     vel = np.zeros_like(x)
     moments = (np.zeros_like(x), np.zeros_like(x), 0)
     records = []
+    full_batch = batch_size is None or obj.num_samples == 0
+    loss = obj.eval(x) if full_batch else None
     for k in range(max_iters):
-        if float(np.linalg.norm(obj.grad(x))) <= stop_grad_norm:
+        g = obj.grad(x)
+        if math.sqrt(g @ g) <= stop_grad_norm:
             break
         batch = None
-        if batch_size is not None and obj.num_samples > 0:
-            batch = draw_batch(rng, obj.num_samples, batch_size)
-        loss_before = obj.eval(x, batch)
-        g = obj.grad(x, batch)
-        if optimizer == "sgd":
-            x_new, vel = sgd_step(obj, x, lr, momentum, vel, batch)
+        if full_batch:
+            loss_before = loss
         else:
-            x_new, moments = adam_step(obj, x, moments, lr, beta1, beta2, eps, batch)
-        loss_after = obj.eval(x_new, batch)
+            batch = draw_batch(rng, obj.num_samples, batch_size)
+            loss_before, g = obj.eval(x, batch), obj.grad(x, batch)
+        if optimizer == "sgd":
+            x_new, vel = sgd_step(obj, x, lr, momentum, vel, batch, g)
+        else:
+            x_new, moments = adam_step(obj, x, moments, lr, beta1, beta2, eps, batch, g)
+        loss = obj.eval(x_new, batch)
+        step = x_new - x
         records.append(StepRecord(
-            k, loss_before, loss_after, float(np.linalg.norm(g)),
+            k, loss_before, loss, math.sqrt(g @ g),
             float("nan"), float("nan"), float("nan"),
-            float(np.linalg.norm(x_new - x)), IterationClass.SUCCESSFUL,
+            math.sqrt(step @ step), IterationClass.SUCCESSFUL,
             SubproblemStatus.INTERIOR, True))
         x = x_new
     return Trajectory(records=records, final_x=x, seed=seed)

@@ -54,6 +54,21 @@ class ExperimentConfig:
     batch_size: int | None = None
     stop_grad_norm: float = 1e-6
     out: str = "results"
+    # id(params) -> (copy of params, objective, x0): each problem is built
+    # once, by validate_config or its first run, and rebuilt only when its
+    # params have changed since
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def built_problem(self, params: dict) -> tuple[Objective, np.ndarray]:
+        """The (objective, x0) of a problem section, built once per params
+        and shared by every run of the section."""
+        entry = self._built.get(id(params))
+        if entry is None or entry[0] != params:
+            # a section's values are scalars or lists of scalars
+            copied = {k: list(v) if isinstance(v, list) else v for k, v in params.items()}
+            entry = (copied, *build_problem(params))
+            self._built[id(params)] = entry
+        return entry[1], entry[2]
 
 
 def _parse_value(raw: str):
@@ -132,7 +147,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name, params in cfg.problems.items():
         if "kind" not in params:
             raise ConfigError(f"problem.{name}: missing key 'kind'")
-        build_problem(params)  # raises ConfigError on bad parameters
+        cfg.built_problem(params)  # raises ConfigError on bad parameters
     for name, params in cfg.optimizers.items():
         kind = params.get("kind")
         if kind not in ("adacubic", "sgd", "adam"):
@@ -180,7 +195,7 @@ def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
 
 def run_one(problem_params: dict, optimizer_params: dict, seed: int,
             cfg: ExperimentConfig) -> Trajectory:
-    obj, x0 = build_problem(problem_params)
+    obj, x0 = cfg.built_problem(problem_params)
     kind = optimizer_params["kind"]
     if kind == "adacubic":
         keys = ("eta1", "eta2", "alpha1", "alpha2", "kappa_easy", "eps_m",

@@ -96,19 +96,12 @@ def make_quadratic(diag: np.ndarray, g0: np.ndarray) -> Objective:
     )
 
 
-def _rosen_hess(x: np.ndarray) -> np.ndarray:
-    d = x.size
-    H = np.zeros((d, d))
-    for i in range(d - 1):
-        H[i, i] += 2.0 - 400.0 * (x[i + 1] - x[i] ** 2) + 800.0 * x[i] ** 2
-        H[i + 1, i + 1] += 200.0
-        H[i, i + 1] += -400.0 * x[i]
-        H[i + 1, i] += -400.0 * x[i]
-    return H
-
-
 def make_rosenbrock(d: int) -> Objective:
-    """Chained Rosenbrock; global minimum at the all-ones vector."""
+    """Chained Rosenbrock; global minimum at the all-ones vector.
+
+    The Hessian is tridiagonal, so its diagonal and its products with a
+    vector cost O(d) and no d x d matrix is formed.
+    """
     if d < 2:
         raise ValueError("rosenbrock needs d >= 2")
 
@@ -122,13 +115,21 @@ def make_rosenbrock(d: int) -> Objective:
         out[1:] += 200.0 * t
         return out
 
-    return Objective(
-        dim=d,
-        eval_fn=f,
-        grad_fn=g,
-        hvp_fn=lambda x, v, b=None: _rosen_hess(x) @ v,
-        exact_diag_fn=lambda x: np.diag(_rosen_hess(x)).copy(),
-    )
+    def diag(x):
+        out = np.zeros_like(x)
+        sq = x[:-1] ** 2
+        out[:-1] = 2.0 - 400.0 * (x[1:] - sq) + 800.0 * sq
+        out[1:] += 200.0
+        return out
+
+    def hvp(x, v, b=None):
+        off = -400.0 * x[:-1]  # H[i, i+1] = H[i+1, i]
+        out = diag(x) * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
+        return out
+
+    return Objective(dim=d, eval_fn=f, grad_fn=g, hvp_fn=hvp, exact_diag_fn=diag)
 
 
 def make_saddle() -> Objective:

@@ -99,6 +99,53 @@ def test_build_problem_from_csv(tmp_path):
     assert obj.num_samples == 8 and obj.dim == 2
 
 
+GRID = """
+[run]
+seeds = 0,1,2
+max_iters = 5
+[problem.ros]
+kind = rosenbrock
+dim = 3
+[optimizer.ac]
+kind = adacubic
+[optimizer.sgd]
+kind = sgd
+lr = 0.001
+[optimizer.adam]
+kind = adam
+"""
+
+
+def _count_builds(monkeypatch):
+    built = []
+
+    def counted(params):
+        built.append(dict(params))
+        return build_problem(params)
+
+    monkeypatch.setattr(harness, "build_problem", counted)
+    return built
+
+
+def test_each_problem_is_built_once_per_experiment(tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    cfg = parse_config_text(GRID)
+    paths, _ = run_experiment(cfg, str(tmp_path / "out"))
+    assert len(paths) == 9 and len(built) == 1
+
+
+def test_params_changed_after_parsing_are_honoured(tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    cfg = parse_config_text(GRID)
+    cfg.problems["ros"]["dim"] = 4
+    cfg.problems["ros"]["x0"] = [0.5, 0.5, 0.5, 0.5]
+    cfg.seeds = [0]
+    run_experiment(cfg, str(tmp_path / "out"))
+    assert [p["dim"] for p in built] == [3, 4]
+    traj = harness.run_one(cfg.problems["ros"], cfg.optimizers["sgd"], 0, cfg)
+    assert traj.final_x.size == 4 and len(built) == 2
+
+
 def test_grid_counting_contract(tmp_path):
     cfg = parse_config_text(BASIC)
     paths, summary_path = run_experiment(cfg, str(tmp_path / "out"))

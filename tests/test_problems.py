@@ -48,6 +48,35 @@ def test_rosenbrock_hessian_at_minimum():
     np.testing.assert_allclose(hv, [802.0, -400.0], rtol=1e-12)
 
 
+def _dense_rosen_hess(x):
+    """Chained Rosenbrock's Hessian as a dense d x d matrix, filled term by
+    term: the reference for the O(d) product and diagonal."""
+    d = x.size
+    H = np.zeros((d, d))
+    for i in range(d - 1):
+        H[i, i] += 2.0 - 400.0 * (x[i + 1] - x[i] ** 2) + 800.0 * x[i] ** 2
+        H[i + 1, i + 1] += 200.0
+        H[i, i + 1] += -400.0 * x[i]
+        H[i + 1, i] += -400.0 * x[i]
+    return H
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 1000])
+def test_rosenbrock_hvp_and_diagonal_match_the_dense_hessian(d):
+    obj = make_rosenbrock(d)
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        x = rng.uniform(-2.0, 2.0, size=d)
+        v = rng.standard_normal(d)
+        H = _dense_rosen_hess(x)
+        want = H @ v
+        err = float(np.max(np.abs(obj.hvp(x, v) - want)))
+        assert err <= 1e-13 * float(np.max(np.abs(want)))
+        diag = np.diag(H)
+        err = float(np.max(np.abs(obj.exact_diag_hessian(x) - diag)))
+        assert err <= 1e-13 * float(np.max(np.abs(diag)))
+
+
 def test_saddle_analytics():
     obj = make_saddle()
     np.testing.assert_allclose(obj.grad(np.zeros(2)), np.zeros(2))

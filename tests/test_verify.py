@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 
-from adacubic import root_finder, verify
+from adacubic import AdaCubicConfig, root_finder, verify
 from adacubic.subproblem import dphi_dnu, phi
 
 EPS = np.finfo(float).eps
@@ -104,3 +104,34 @@ def test_duality_probe_check_alone_catches_a_step_off_the_minimizer(monkeypatch)
     name, ok, detail = verify.duality_suite(n=5)
     assert not ok, detail
     assert "max coord err/grid-tol=0.000" in detail
+
+
+def _ring_instance(radius):
+    """A d = 2 boundary instance from the duality suite's distribution, its
+    solution, and 64 probes on a circle of ``radius`` around the step."""
+    b = np.array([0.31503401329401015, -1.2110602108165258])
+    g = np.array([0.6162735036271363, -0.02230792774148016])
+    sol = root_finder(b, g, 8.779639158233728, AdaCubicConfig())
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    ring = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    return b, g, sol, sol.s + ring
+
+
+def test_probe_check_accepts_round_off_next_to_a_correct_step():
+    # at radius 3e-8 the model rises by about 1e-15, as much as the error of
+    # evaluating it at |m*| = 1.01, so some computed rises come out negative
+    b, g, sol, points = _ring_instance(3e-8)
+    gap, above = verify.probe_gap(b, g, sol.nu, sol.s, points)
+    rises = verify.cubic_model(b, g, sol.nu, points) - verify.cubic_model(b, g, sol.nu, sol.s)
+    assert gap == float(np.min(rises)) < 0.0  # a plain "gap < 0" would fail
+    assert above
+
+
+def test_probe_check_still_catches_a_step_off_the_minimizer_by_1e_6():
+    # from a step 1e-6 off the minimizer the model falls by 6e-13 to 8e-13
+    # toward the true step, 20 to 25 times the round-off allowance of 3.2e-14
+    b, g, sol, _ = _ring_instance(3e-8)
+    for direction in np.eye(2):
+        off = sol.s + 1e-6 * direction
+        gap, above = verify.probe_gap(b, g, sol.nu, off, sol.s[None, :])
+        assert gap < -1e-13 and not above
