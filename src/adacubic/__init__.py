@@ -10,8 +10,7 @@ from .config import (AdaCubicConfig, IterationClass, TrustRegionState,
                      accept_step, classify_iteration, update_xi)
 from .driver import (StepRecord, Trajectory, adacubic_step, adam_step, rho,
                      run, run_baseline, sgd_step)
-from .hutchinson import (DiagonalCurvature, exhaustive_diag, hutchinson_diag,
-                         rademacher_vector)
+from .hutchinson import exhaustive_diag, hutchinson_diag, rademacher_vector
 from .problems import (Objective, brute_force_subproblem_min, draw_batch,
                        finite_difference_hvp, load_logistic_csv, make_logistic,
                        make_quadratic, make_rosenbrock, make_saddle,
@@ -28,7 +27,7 @@ __all__ = [
     "classify_iteration", "update_xi",
     "StepRecord", "Trajectory", "adacubic_step", "adam_step", "rho", "run",
     "run_baseline", "sgd_step",
-    "DiagonalCurvature", "exhaustive_diag", "hutchinson_diag", "rademacher_vector",
+    "exhaustive_diag", "hutchinson_diag", "rademacher_vector",
     "Objective", "brute_force_subproblem_min", "draw_batch",
     "finite_difference_hvp", "load_logistic_csv", "make_logistic",
     "make_quadratic", "make_rosenbrock", "make_saddle", "make_synthetic_logistic",

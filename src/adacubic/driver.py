@@ -66,9 +66,9 @@ def adacubic_step(obj: Objective, x: np.ndarray, state: TrustRegionState,
     else:
         raise ValueError("current (loss, grad) is full-batch; the step drew a batch")
 
-    curv = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim,
-                           cfg.hutchinson_samples, rng)
-    sol = root_finder(curv.b, g, state.xi, cfg)
+    b = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim,
+                        cfg.hutchinson_samples, rng)
+    sol = root_finder(b, g, state.xi, cfg)
     s = sol.s
     # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm
     step_norm = math.sqrt(s @ s)
@@ -121,9 +121,9 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
     def stationary(pt: np.ndarray, g: np.ndarray) -> bool:
         if math.sqrt(g @ g) > stop_grad_norm:
             return False
-        curv = hutchinson_diag(lambda v: obj.hvp(pt, v), obj.dim,
-                               cfg.hutchinson_samples, rng)
-        return float(curv.b.min()) >= 0.0
+        b = hutchinson_diag(lambda v: obj.hvp(pt, v), obj.dim,
+                            cfg.hutchinson_samples, rng)
+        return float(b.min()) >= 0.0
 
     for _ in range(max_iters):
         if stationary(x, current[1] if full_batch else obj.grad(x)):
@@ -179,7 +179,9 @@ def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
     iteration takes the full-batch gradient for the stop check and the
     loss and gradient on its batch; without a batch the stop check's
     gradient is the step's, and the loss after one step is the loss
-    before the next.
+    before the next.  A non-finite stop-check gradient norm (a diverged
+    iterate) raises ``FloatingPointError``, as AdaCubic's curvature
+    estimate and subproblem solver do on non-finite input.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
@@ -192,7 +194,10 @@ def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
     loss = obj.eval(x) if full_batch else None
     for k in range(max_iters):
         g = obj.grad(x)
-        if math.sqrt(g @ g) <= stop_grad_norm:
+        grad_norm = math.sqrt(g @ g)
+        if not math.isfinite(grad_norm):
+            raise FloatingPointError(f"non-finite gradient norm at iteration {k}")
+        if grad_norm <= stop_grad_norm:
             break
         batch = None
         if full_batch:

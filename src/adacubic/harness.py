@@ -365,8 +365,8 @@ def measure_subsample_deviation(obj: Objective, x: np.ndarray, batch_size: int,
     for t in range(trials):
         batch = draw_batch(rng, obj.num_samples, batch_size)
         grad_devs[t] = np.linalg.norm(obj.grad(x, batch) - g_full)
-        curv = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim, S, rng)
-        diag_devs[t] = np.max(np.abs(curv.b - diag_full))
+        b = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim, S, rng)
+        diag_devs[t] = np.max(np.abs(b - diag_full))
     qs = [0.1, 0.25, 0.5, 0.75, 0.9]
     return {
         "grad_devs": grad_devs,

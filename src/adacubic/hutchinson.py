@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class DiagonalCurvature:
-    b: np.ndarray
-    samples_used: int
 
 
 def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -23,7 +16,7 @@ def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int, S: int,
-                    rng: np.random.Generator) -> DiagonalCurvature:
+                    rng: np.random.Generator) -> np.ndarray:
     """Average of H(v) * v over S Rademacher probes.
 
     Unbiased for diag(H); exact for diagonal H at any S since v*v == 1.
@@ -38,7 +31,7 @@ def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int, S: int,
         if not np.all(np.isfinite(hv)):
             raise FloatingPointError("non-finite Hessian-vector product")
         acc += hv * v
-    return DiagonalCurvature(b=acc / S, samples_used=S)
+    return acc / S
 
 
 def exhaustive_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Cubically-constrained model minimizer for diagonal curvature.
 
 Solves  min_s  g^T s + 1/2 s^T Diag(b) s   s.t.  ||s||_2^3 <= xi
-via a safeguarded Newton iteration on the dual variable nu of the
-constraint, with closed-form shifted solves (the curvature is diagonal)
-and an explicit negative-curvature branch for the hard case.
+via one bracketed Newton-bisection loop on the dual variable nu of the
+constraint (More & Sorensen 1983; Conn, Gould & Toint 2000, ch. 7), with
+one closed-form shifted solve per pass (the curvature is diagonal) and an
+explicit negative-curvature branch for the hard case.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,8 @@ class ShiftNotPositiveDefiniteError(ValueError):
 
 
 class SolverStallError(RuntimeError):
-    """Newton and bisection both failed; carries the best iterate found."""
+    """The boundary search spent its ``max_newton_iters`` budget without
+    meeting its stop test; carries the last iterate."""
 
     def __init__(self, message: str, best: "SubproblemSolution"):
         super().__init__(message)
@@ -51,19 +54,32 @@ class KktResidual:
     slackness: float
 
 
-def solve_shifted(b: np.ndarray, g: np.ndarray, nu: float, r: float) -> np.ndarray:
-    """s = -(Diag(b) + (nu r / 2) I)^{-1} g, coordinate-wise."""
+def _shifted_solve(b: np.ndarray, g: np.ndarray, nu: float,
+                   r: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The shift b + nu r / 2, s = -g / shift and ||s||, after checking that
+    every entry of the shift is positive."""
     shift = b + 0.5 * nu * r
-    if np.any(shift <= 0.0):
+    if shift.min() <= 0.0:
         raise ShiftNotPositiveDefiniteError(
             f"shifted curvature not positive definite: min entry {shift.min():g}")
-    return -g / shift
+    s = -g / shift
+    # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm
+    return shift, s, math.sqrt(s @ s)
+
+
+def _dphi(shift: np.ndarray, s: np.ndarray, ns: float, r: float) -> float:
+    """:func:`dphi_dnu` from an already computed shift, s and ||s||."""
+    return float(0.5 * r * (s * s / shift).sum() / ns ** 3)
+
+
+def solve_shifted(b: np.ndarray, g: np.ndarray, nu: float, r: float) -> np.ndarray:
+    """s = -(Diag(b) + (nu r / 2) I)^{-1} g, coordinate-wise."""
+    return _shifted_solve(b, g, nu, r)[1]
 
 
 def phi(b: np.ndarray, g: np.ndarray, nu: float, r: float, xi: float) -> float:
     """Secular residual 1/||s(nu, r)|| - 1/xi^(1/3); zero iff ||s|| hits the radius."""
-    s = solve_shifted(b, g, nu, r)
-    ns = float(np.linalg.norm(s))
+    ns = _shifted_solve(b, g, nu, r)[2]
     if ns == 0.0:
         raise ZeroDivisionError("zero step: phi undefined (g = 0); handle as interior/hard case")
     return 1.0 / ns - 1.0 / xi ** (1.0 / 3.0)
@@ -71,15 +87,10 @@ def phi(b: np.ndarray, g: np.ndarray, nu: float, r: float, xi: float) -> float:
 
 def dphi_dnu(b: np.ndarray, g: np.ndarray, nu: float, r: float) -> float:
     """d(phi)/d(nu) = (r/2) * sum_i s_i^2 / (b_i + nu r/2) / ||s||^3 > 0."""
-    shift = b + 0.5 * nu * r
-    if np.any(shift <= 0.0):
-        raise ShiftNotPositiveDefiniteError(
-            f"shifted curvature not positive definite: min entry {shift.min():g}")
-    s = -g / shift
-    ns = float(np.linalg.norm(s))
+    shift, s, ns = _shifted_solve(b, g, nu, r)
     if ns == 0.0:
         raise ZeroDivisionError("zero step: dphi undefined (g = 0)")
-    return float(0.5 * r * np.sum(s * s / shift) / ns ** 3)
+    return _dphi(shift, s, ns, r)
 
 
 def hard_case_step(b: np.ndarray, g: np.ndarray, s_reg: np.ndarray,
@@ -112,7 +123,7 @@ def hard_case_step(b: np.ndarray, g: np.ndarray, s_reg: np.ndarray,
 
 
 def _model_decrease(b, g, s, nu) -> float:
-    ns = float(np.linalg.norm(s))
+    ns = math.sqrt(s @ s)
     return float(-(g @ s + 0.5 * s @ (b * s) + nu / 6.0 * ns ** 3))
 
 
@@ -126,22 +137,27 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
                 cfg: AdaCubicConfig) -> SubproblemSolution:
     """Full model-minimizer search: interior / boundary / hard-case branches.
 
-    On the boundary the dual variable is found by Newton on the secular
-    equation, safeguarded by a bracket; termination requires the relative
-    radius band ``kappa_easy`` and additionally drives the stationarity
-    residual below ``kkt_tol * (1 + ||g||)`` (a few extra quadratic-phase
-    iterations) so emitted steps satisfy the KKT conditions tightly.
+    On the boundary the dual variable is found by one bracketed
+    Newton-bisection loop on the secular equation.  Each pass solves the
+    shifted system once; it stops when ||s|| is inside the relative radius
+    band ``kappa_easy`` and the stationarity residual is below
+    ``kkt_tol * (1 + ||g||)`` (a few extra quadratic-phase passes), so
+    emitted steps satisfy the KKT conditions tightly.  Otherwise it narrows
+    the bracket and takes the Newton step, or bisects (doubles while the
+    bracket has no upper end) when that step leaves the bracket.  At most
+    ``max_newton_iters`` steps are taken; then :class:`SolverStallError`
+    carries the last iterate.
     """
     b = np.asarray(b, dtype=float)
     g = np.asarray(g, dtype=float)
     if xi < cfg.eps_m:
         raise ValueError(f"xi={xi:g} below the floor eps_m={cfg.eps_m:g}")
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(g))):
+    if not (np.isfinite(b).all() and np.isfinite(g).all()):
         raise ValueError("b and g must be finite")
 
     r = xi ** (1.0 / 3.0)
     lam = float(b.min())
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(g @ g)
 
     if gnorm == 0.0:
         if lam >= 0.0:
@@ -153,8 +169,7 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
                                   _model_decrease(b, g, s, nu))
 
     nu = 0.0 if lam > 0.0 else _nu_init(lam, r)
-    s = solve_shifted(b, g, nu, r)
-    ns = float(np.linalg.norm(s))
+    shift, s, ns = _shifted_solve(b, g, nu, r)
 
     if ns ** 3 <= xi:
         on_boundary = abs(ns ** 3 - xi) <= 1e-12 * max(1.0, xi)
@@ -170,66 +185,35 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
 
     # ||s||^3 > xi: the constraint is active and phi(nu, r) < 0 here
     tol_abs = cfg.kkt_tol * (1.0 + gnorm)
-    nu_lo, nu_hi = nu, np.inf
-    iters = 0
+    nu_lo, nu_hi = nu, math.inf
     iters_to_band = -1
-
-    def converged(ns_cur: float, nu_cur: float, s_cur: np.ndarray) -> bool:
-        band = abs(ns_cur - r) <= cfg.kappa_easy * r
-        resid = 0.5 * nu_cur * abs(ns_cur - r) * float(np.max(np.abs(s_cur)))
-        return band and resid <= tol_abs
-
-    while iters < cfg.max_newton_iters:
-        if iters_to_band < 0 and abs(ns - r) <= cfg.kappa_easy * r:
-            iters_to_band = iters
-        if converged(ns, nu, s):
-            return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
-                                      max(iters_to_band, 0),
-                                      _model_decrease(b, g, s, nu))
+    iters = 0
+    while True:
+        gap = abs(ns - r)
+        if gap <= cfg.kappa_easy * r:
+            if iters_to_band < 0:
+                iters_to_band = iters
+            if 0.5 * nu * gap * float(np.abs(s).max()) <= tol_abs:
+                return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
+                                          iters_to_band, _model_decrease(b, g, s, nu))
+        if iters == cfg.max_newton_iters:
+            break
         phi_val = 1.0 / ns - 1.0 / r
         if phi_val < 0.0:
             nu_lo = max(nu_lo, nu)
         else:
             nu_hi = min(nu_hi, nu)
-        proposal = nu - phi_val / dphi_dnu(b, g, nu, r)
+        proposal = nu - phi_val / _dphi(shift, s, ns, r)
         if not (nu_lo < proposal < nu_hi):
-            proposal = 0.5 * (nu_lo + nu_hi) if np.isfinite(nu_hi) else 2.0 * max(nu, 1.0)
+            proposal = 0.5 * (nu_lo + nu_hi) if math.isfinite(nu_hi) else 2.0 * max(nu, 1.0)
         nu = proposal
-        s = solve_shifted(b, g, nu, r)
-        ns = float(np.linalg.norm(s))
+        shift, s, ns = _shifted_solve(b, g, nu, r)
         iters += 1
-
-    # bisection fallback: establish a sign change, then halve
-    hi = nu_hi if np.isfinite(nu_hi) else max(nu_lo, 1.0)
-    grow = 0
-    while not np.isfinite(nu_hi):
-        hi *= 2.0
-        if phi(b, g, hi, r, xi) > 0.0:
-            nu_hi = hi
-        grow += 1
-        if grow > 200:
-            break
-    lo = nu_lo
-    for _ in range(10 * cfg.max_newton_iters):
-        if not np.isfinite(nu_hi):
-            break
-        nu = 0.5 * (lo + nu_hi)
-        s = solve_shifted(b, g, nu, r)
-        ns = float(np.linalg.norm(s))
-        iters += 1
-        if converged(ns, nu, s):
-            return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
-                                      max(iters_to_band, 0),
-                                      _model_decrease(b, g, s, nu))
-        if 1.0 / ns - 1.0 / r < 0.0:
-            lo = nu
-        else:
-            nu_hi = nu
 
     best = SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
                               max(iters_to_band, 0), _model_decrease(b, g, s, nu))
     raise SolverStallError(
-        f"dual Newton failed to converge after {iters} iterations", best)
+        f"dual Newton-bisection failed to converge after {iters} iterations", best)
 
 
 def kkt_residual(b: np.ndarray, g: np.ndarray, sol: SubproblemSolution,

@@ -5,6 +5,7 @@ its iteration budget follows from the rate a diagonal curvature model
 admits on that objective, derived in the comment at the test.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import adacubic
 from adacubic import (AdaCubicConfig, kkt_residual, make_quadratic,
                       make_rosenbrock, make_saddle, make_synthetic_logistic,
                       root_finder, run, run_baseline, verify)
@@ -208,14 +210,17 @@ def test_criterion_8_determinism(tmp_path):
     run_experiment(cfg, str(tmp_path / "a"))
     run_experiment(cfg, str(tmp_path / "b"))
     identical = True
-    import os
     for name in sorted(os.listdir(tmp_path / "a")):
         with open(tmp_path / "a" / name, "rb") as fa, \
                 open(tmp_path / "b" / name, "rb") as fb:
             if fa.read() != fb.read():
                 identical = False
+    # the child imports the same package, however this process found it
+    src = os.path.dirname(os.path.dirname(adacubic.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     outs = [subprocess.run([sys.executable, "-m", "adacubic.cli", "verify"],
-                           capture_output=True).stdout for _ in range(2)]
+                           capture_output=True, env=env).stdout for _ in range(2)]
     verify_identical = outs[0] == outs[1] and b"all suites passed" in outs[0]
     _report("8", identical and verify_identical,
             f"CSV grids byte-identical: {identical}, verify reports "

@@ -199,6 +199,16 @@ def test_run_baseline_rejects_unknown_optimizer():
         run_baseline(obj, np.ones(1), "lbfgs", 0.1, 10)
 
 
+def test_run_baseline_raises_once_its_iterate_diverges():
+    # SGD with momentum overflows on Rosenbrock from the standard start; a
+    # NaN or infinite gradient norm never passes the stop check, so without
+    # the raise the run would write NaN rows until its budget
+    x0 = np.array([-1.2] + [1.0] * 9)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError):
+        run_baseline(make_rosenbrock(10), x0, "sgd", 0.01, 400, momentum=0.5)
+
+
 # ---------------------------------------------------------------------------
 # oracle calls per iteration, and the loops they were cut from
 # ---------------------------------------------------------------------------
@@ -325,9 +335,9 @@ def _reference_step(obj, x, state, cfg, rng, batch_size=None):
 
     loss_before = obj.eval(x, batch)
     g = obj.grad(x, batch)
-    curv = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim,
-                           cfg.hutchinson_samples, rng)
-    sol = root_finder(curv.b, g, state.xi, cfg)
+    b = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim,
+                        cfg.hutchinson_samples, rng)
+    sol = root_finder(b, g, state.xi, cfg)
     s = sol.s
     step_norm = float(np.linalg.norm(s))
     loss_after = obj.eval(x + s, batch)
@@ -360,9 +370,9 @@ def _reference_run(obj, x0, cfg, max_iters, batch_size=None, stop_grad_norm=0.0,
     def stationary(pt):
         if float(np.linalg.norm(obj.grad(pt))) > stop_grad_norm:
             return False
-        curv = hutchinson_diag(lambda v: obj.hvp(pt, v), obj.dim,
-                               cfg.hutchinson_samples, rng)
-        return float(curv.b.min()) >= 0.0
+        b = hutchinson_diag(lambda v: obj.hvp(pt, v), obj.dim,
+                            cfg.hutchinson_samples, rng)
+        return float(b.min()) >= 0.0
 
     for _ in range(max_iters):
         if stationary(x):

@@ -222,6 +222,31 @@ kind = adacubic
     assert float(parts[-1]) == 0.0  # success_rate
 
 
+def test_diverged_baseline_run_is_empty_and_unsuccessful(tmp_path):
+    cfg = parse_config_text("""
+[run]
+seeds = 0
+max_iters = 400
+
+[problem.ros]
+kind = rosenbrock
+dim = 10
+
+[optimizer.sgd]
+kind = sgd
+lr = 0.01
+momentum = 0.5
+""")
+    with np.errstate(over="ignore", invalid="ignore"):
+        (path,), summary_path = run_experiment(cfg, str(tmp_path / "out"))
+    with open(path) as fh:
+        assert fh.read() == TRAJECTORY_HEADER + "\n"
+    with open(summary_path) as fh:
+        fh.readline()
+        parts = fh.readline().split(",")
+    assert float(parts[-1]) == 0.0  # success_rate
+
+
 def test_deviation_measurement_quantiles():
     obj = make_synthetic_logistic(128, 4, 1e-2, 0)
     x = np.zeros(4)

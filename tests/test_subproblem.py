@@ -1,13 +1,15 @@
 """Secular-equation calculus, the safeguarded Newton root finder, and the
-hard-case branch, checked against closed forms and the brute-force oracle."""
+hard-case branch, checked against closed forms, the brute-force oracle and
+the two-loop root finder it replaced."""
 
 import numpy as np
 import pytest
 
 from adacubic import (AdaCubicConfig, ShiftNotPositiveDefiniteError,
-                      SubproblemStatus, brute_force_subproblem_min, dphi_dnu,
-                      hard_case_step, kkt_residual, phi, root_finder,
-                      solve_shifted)
+                      SolverStallError, SubproblemSolution, SubproblemStatus,
+                      brute_force_subproblem_min, dphi_dnu, hard_case_step,
+                      kkt_residual, phi, root_finder, solve_shifted)
+from adacubic.verify import random_instance
 
 CFG = AdaCubicConfig()
 
@@ -264,3 +266,182 @@ def test_matches_brute_force_on_low_dimensions():
         ref = brute_force_subproblem_min(b, g, xi)
         tol = 2.0 * xi ** (1.0 / 3.0) / 200
         np.testing.assert_allclose(sol.s, ref, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# the two-loop root finder that the single loop replaced
+# ---------------------------------------------------------------------------
+
+def _ref_solve_shifted(b, g, nu, r):
+    shift = b + 0.5 * nu * r
+    if np.any(shift <= 0.0):
+        raise ShiftNotPositiveDefiniteError("shift not positive definite")
+    return -g / shift
+
+
+def _ref_phi(b, g, nu, r, xi):
+    return 1.0 / float(np.linalg.norm(_ref_solve_shifted(b, g, nu, r))) \
+        - 1.0 / xi ** (1.0 / 3.0)
+
+
+def _ref_dphi_dnu(b, g, nu, r):
+    shift = b + 0.5 * nu * r
+    s = -g / shift
+    ns = float(np.linalg.norm(s))
+    return float(0.5 * r * np.sum(s * s / shift) / ns ** 3)
+
+
+def _ref_model_decrease(b, g, s, nu):
+    ns = float(np.linalg.norm(s))
+    return float(-(g @ s + 0.5 * s @ (b * s) + nu / 6.0 * ns ** 3))
+
+
+def _reference_root_finder(b, g, xi, cfg):
+    """root_finder as it was before its loops were merged: a bracketed
+    Newton loop, then a grow-and-bisect fallback of 10 x max_newton_iters
+    passes, each pass solving the shifted system twice."""
+    r = xi ** (1.0 / 3.0)
+    lam = float(b.min())
+    gnorm = float(np.linalg.norm(g))
+    if gnorm == 0.0:
+        if lam >= 0.0:
+            return SubproblemSolution(np.zeros_like(b), 0.0,
+                                      SubproblemStatus.INTERIOR, 0, 0, 0.0)
+        nu = -2.0 * (lam - max(1e-8, 1e-8 * abs(lam))) / r
+        s, _ = hard_case_step(b, g, np.zeros_like(b), xi)
+        return SubproblemSolution(s, nu, SubproblemStatus.HARD_CASE, 0, 0,
+                                  _ref_model_decrease(b, g, s, nu))
+
+    nu = 0.0 if lam > 0.0 else -2.0 * (lam - max(1e-8, 1e-8 * abs(lam))) / r
+    s = _ref_solve_shifted(b, g, nu, r)
+    ns = float(np.linalg.norm(s))
+    if ns ** 3 <= xi:
+        if abs(ns ** 3 - xi) <= 1e-12 * max(1.0, xi):
+            return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, 0, 0,
+                                      _ref_model_decrease(b, g, s, nu))
+        if lam >= 0.0:
+            return SubproblemSolution(s, 0.0, SubproblemStatus.INTERIOR, 0, 0,
+                                      _ref_model_decrease(b, g, s, 0.0))
+        s, _ = hard_case_step(b, g, s, xi)
+        return SubproblemSolution(s, nu, SubproblemStatus.HARD_CASE, 0, 0,
+                                  _ref_model_decrease(b, g, s, nu))
+
+    tol_abs = cfg.kkt_tol * (1.0 + gnorm)
+    nu_lo, nu_hi = nu, np.inf
+    iters = 0
+    iters_to_band = -1
+
+    def converged(ns_cur, nu_cur, s_cur):
+        band = abs(ns_cur - r) <= cfg.kappa_easy * r
+        resid = 0.5 * nu_cur * abs(ns_cur - r) * float(np.max(np.abs(s_cur)))
+        return band and resid <= tol_abs
+
+    def solution():
+        return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
+                                  max(iters_to_band, 0),
+                                  _ref_model_decrease(b, g, s, nu))
+
+    while iters < cfg.max_newton_iters:
+        if iters_to_band < 0 and abs(ns - r) <= cfg.kappa_easy * r:
+            iters_to_band = iters
+        if converged(ns, nu, s):
+            return solution()
+        phi_val = 1.0 / ns - 1.0 / r
+        if phi_val < 0.0:
+            nu_lo = max(nu_lo, nu)
+        else:
+            nu_hi = min(nu_hi, nu)
+        proposal = nu - phi_val / _ref_dphi_dnu(b, g, nu, r)
+        if not (nu_lo < proposal < nu_hi):
+            proposal = 0.5 * (nu_lo + nu_hi) if np.isfinite(nu_hi) else 2.0 * max(nu, 1.0)
+        nu = proposal
+        s = _ref_solve_shifted(b, g, nu, r)
+        ns = float(np.linalg.norm(s))
+        iters += 1
+
+    hi = nu_hi if np.isfinite(nu_hi) else max(nu_lo, 1.0)
+    grow = 0
+    while not np.isfinite(nu_hi):
+        hi *= 2.0
+        if _ref_phi(b, g, hi, r, xi) > 0.0:
+            nu_hi = hi
+        grow += 1
+        if grow > 200:
+            break
+    lo = nu_lo
+    for _ in range(10 * cfg.max_newton_iters):
+        if not np.isfinite(nu_hi):
+            break
+        nu = 0.5 * (lo + nu_hi)
+        s = _ref_solve_shifted(b, g, nu, r)
+        ns = float(np.linalg.norm(s))
+        iters += 1
+        if converged(ns, nu, s):
+            return solution()
+        if 1.0 / ns - 1.0 / r < 0.0:
+            lo = nu
+        else:
+            nu_hi = nu
+    raise SolverStallError("reference stalled", solution())
+
+
+def _scaled_instances(n, seed=2024):
+    """Seeded kkt-style instances with b and xi each scaled by 10^U(-6, 6)
+    (xi floored at eps_m): at these scales the absolute stop test
+    kkt_tol * (1 + ||g||) can be out of reach, so some solves stall."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        b, g, xi = random_instance(rng)
+        b = b * 10.0 ** rng.uniform(-6, 6)
+        xi = max(xi * 10.0 ** rng.uniform(-6, 6), CFG.eps_m)
+        yield b, g, xi
+
+
+def _kkt_instances(n=500, seed=12345):
+    rng = np.random.default_rng(seed)
+    return [random_instance(rng) for _ in range(n)]
+
+
+def _outcome(solver, b, g, xi):
+    try:
+        sol = solver(b, g, xi, CFG)
+    except SolverStallError:
+        return "stall"
+    return (sol.s.tobytes(), sol.s.dtype, sol.s.shape, sol.nu, sol.status,
+            sol.newton_iters, sol.newton_iters_to_band, sol.model_decrease)
+
+
+def test_single_loop_matches_the_two_loop_solver_bit_for_bit():
+    instances = _kkt_instances() + list(_scaled_instances(400))
+    outcomes = [(_outcome(root_finder, b, g, xi),
+                 _outcome(_reference_root_finder, b, g, xi))
+                for b, g, xi in instances]
+    stalls = [got == "stall" for got, _ in outcomes]
+    # the scaled family exercises the stall path; the kkt instances never stall
+    assert not any(stalls[:500]) and any(stalls[500:])
+    for got, want in outcomes:
+        assert got == want
+
+
+def test_stall_raises_with_the_last_finite_iterate_after_the_budget():
+    b, g, xi = next((b, g, xi) for b, g, xi in _scaled_instances(400)
+                    if _outcome(root_finder, b, g, xi) == "stall")
+    with pytest.raises(SolverStallError) as info:
+        root_finder(b, g, xi, CFG)
+    best = info.value.best
+    assert best.newton_iters == CFG.max_newton_iters
+    assert best.status is SubproblemStatus.BOUNDARY
+    assert np.all(np.isfinite(best.s)) and np.isfinite(best.nu)
+
+
+def test_max_newton_iters_bounds_the_passes():
+    b, g, xi, sol = next((b, g, xi, sol) for b, g, xi in _kkt_instances()
+                         for sol in [root_finder(b, g, xi, CFG)]
+                         if sol.newton_iters > 2)
+    with pytest.raises(SolverStallError) as info:
+        root_finder(b, g, xi, CFG.replace(max_newton_iters=2))
+    assert info.value.best.newton_iters == 2
+    assert np.all(np.isfinite(info.value.best.s))
+    # a budget of exactly the passes a solve needs returns the same solution
+    exact = root_finder(b, g, xi, CFG.replace(max_newton_iters=sol.newton_iters))
+    assert exact.nu == sol.nu and np.array_equal(exact.s, sol.s)
