@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .config import AdaCubicConfig
 from .driver import StepRecord, Trajectory, run, run_baseline
 from .hutchinson import hutchinson_diag
-from .problems import (Objective, draw_batch, load_logistic_csv, make_logistic,
-                       make_quadratic, make_rosenbrock, make_saddle,
-                       make_synthetic_logistic)
+from .problems import (Objective, draw_batch, load_logistic_csv, make_quadratic,
+                       make_rosenbrock, make_saddle, make_synthetic_logistic)
 
 TRAJECTORY_HEADER = ("iter,loss_before,loss_after,grad_norm,rho,nu,xi,"
                      "step_norm,status,subproblem_status,accepted")
@@ -87,30 +86,27 @@ def _parse_value(raw: str):
 
 def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    section = None
+    section = params = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section.startswith("problem."):
-                cfg.problems[section.split(".", 1)[1]] = {}
-            elif section.startswith("optimizer."):
-                cfg.optimizers[section.split(".", 1)[1]] = {}
+            axis, dot, name = section.partition(".")
+            if dot and axis in ("problem", "optimizer"):
+                params = getattr(cfg, axis + "s")[name] = {}
             elif section != "run":
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line or section is None:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        value = _parse_value(raw)
+        key, _, raw = line.partition("=")
+        key, value = key.strip(), _parse_value(raw)
         if section == "run":
             _apply_run_key(cfg, key, value)
-        elif section.startswith("problem."):
-            cfg.problems[section.split(".", 1)[1]][key] = value
         else:
-            cfg.optimizers[section.split(".", 1)[1]][key] = value
+            params[key] = value
     validate_config(cfg)
     return cfg
 
@@ -135,6 +131,31 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
+# the keys each kind reads besides 'kind'
+_PROBLEM_KEYS = {"quadratic": ("diag", "g0", "x0"), "rosenbrock": ("dim", "x0"),
+                 "saddle": ("x0",), "logistic": ("l2", "data", "n", "dim", "data_seed", "x0")}
+_ADACUBIC_KEYS = tuple(f.name for f in fields(AdaCubicConfig) if f.name != "rng_seed")
+_OPTIMIZER_KEYS = {"adacubic": _ADACUBIC_KEYS + ("xi0",), "sgd": ("lr", "momentum"),
+                   "adam": ("lr", "beta1", "beta2", "eps")}
+
+
+def _checked_kind(params: dict, keys_by_kind: dict) -> str:
+    """A section's kind, once it and each other key of the section are known."""
+    kind = params.get("kind")
+    if kind not in keys_by_kind:
+        raise ConfigError(f"unknown kind {kind!r}")
+    unknown = [k for k in params if k != "kind" and k not in keys_by_kind[kind]]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} for kind {kind!r}")
+    return kind
+
+
+def _adacubic_config(params: dict, seed: int) -> AdaCubicConfig:
+    """The AdaCubicConfig of an ``optimizer.*`` section, for one run seed."""
+    return AdaCubicConfig(rng_seed=seed,
+                          **{k: v for k, v in params.items() if k in _ADACUBIC_KEYS})
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     if not cfg.problems:
         raise ConfigError("no [problem.*] sections defined")
@@ -145,13 +166,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
     for name, params in cfg.problems.items():
-        if "kind" not in params:
-            raise ConfigError(f"problem.{name}: missing key 'kind'")
-        cfg.built_problem(params)  # raises ConfigError on bad parameters
+        try:
+            cfg.built_problem(params)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"problem.{name}: {err}") from None
     for name, params in cfg.optimizers.items():
-        kind = params.get("kind")
-        if kind not in ("adacubic", "sgd", "adam"):
-            raise ConfigError(f"optimizer.{name}: unknown kind {kind!r}")
+        try:
+            if _checked_kind(params, _OPTIMIZER_KEYS) == "adacubic":
+                _adacubic_config(params, seed=0)  # range errors surface here
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"optimizer.{name}: {err}") from None
 
 
 def _as_array(value, key: str) -> np.ndarray:
@@ -164,7 +188,7 @@ def _as_array(value, key: str) -> np.ndarray:
 
 def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
     """Instantiate a problem section; returns (objective, x0)."""
-    kind = params.get("kind")
+    kind = _checked_kind(params, _PROBLEM_KEYS)
     if kind == "quadratic":
         diag = _as_array(params.get("diag", [1.0]), "diag")
         g0 = _as_array(params.get("g0", [0.0] * diag.size), "g0")
@@ -177,7 +201,7 @@ def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
     elif kind == "saddle":
         obj = make_saddle()
         x0 = _as_array(params.get("x0", [0.0, 0.0]), "x0")
-    elif kind == "logistic":
+    else:  # logistic
         l2 = float(params.get("l2", 0.0))
         if "data" in params:
             obj = load_logistic_csv(str(params["data"]), l2)
@@ -186,8 +210,6 @@ def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
                                           int(params.get("dim", 5)), l2,
                                           int(params.get("data_seed", 0)))
         x0 = _as_array(params.get("x0", [0.0] * obj.dim), "x0")
-    else:
-        raise ConfigError(f"unknown problem kind {kind!r}")
     if x0.size != obj.dim:
         raise ConfigError(f"x0 has length {x0.size}, problem dimension is {obj.dim}")
     return obj, x0
@@ -197,20 +219,13 @@ def run_one(problem_params: dict, optimizer_params: dict, seed: int,
             cfg: ExperimentConfig) -> Trajectory:
     obj, x0 = cfg.built_problem(problem_params)
     kind = optimizer_params["kind"]
+    limits = (cfg.max_iters, cfg.batch_size, cfg.stop_grad_norm)
     if kind == "adacubic":
-        keys = ("eta1", "eta2", "alpha1", "alpha2", "kappa_easy", "eps_m",
-                "hutchinson_samples", "max_newton_iters", "kkt_tol")
-        overrides = {k: optimizer_params[k] for k in keys if k in optimizer_params}
-        acfg = AdaCubicConfig(rng_seed=seed, **overrides)
-        return run(obj, x0, acfg, cfg.max_iters, cfg.batch_size, cfg.stop_grad_norm,
+        return run(obj, x0, _adacubic_config(optimizer_params, seed), *limits,
                    xi0=float(optimizer_params.get("xi0", 1.0)))
-    return run_baseline(
-        obj, x0, kind, float(optimizer_params.get("lr", 0.1)), cfg.max_iters,
-        cfg.batch_size, cfg.stop_grad_norm, seed,
-        momentum=float(optimizer_params.get("momentum", 0.0)),
-        beta1=float(optimizer_params.get("beta1", 0.9)),
-        beta2=float(optimizer_params.get("beta2", 0.999)),
-        eps=float(optimizer_params.get("eps", 1e-8)))
+    # the section's keys are run_baseline's keyword arguments
+    hyper = {k: float(v) for k, v in optimizer_params.items() if k != "kind"}
+    return run_baseline(obj, x0, kind, hyper.pop("lr", 0.1), *limits, seed, **hyper)
 
 
 # ---------------------------------------------------------------------------

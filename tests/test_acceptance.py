@@ -41,6 +41,23 @@ def kkt_solved():
     return solved, time.perf_counter() - start
 
 
+@pytest.fixture(scope="module")
+def suites():
+    """The ``verify.all_suites()`` results, run once for criteria 2, 3, 4
+    and 8, and the seconds each suite took, by name."""
+    results, seconds = [], {}
+    for suite in (verify.kkt_suite, verify.duality_suite,
+                  verify.phi_calculus_suite, verify.hutchinson_suite):
+        start = time.perf_counter()
+        results.append(suite())
+        seconds[results[-1][0]] = time.perf_counter() - start
+    return results, seconds
+
+
+def _suite(suites, name):
+    return next(result for result in suites[0] if result[0] == name)
+
+
 def test_criterion_1_kkt_suite(kkt_solved):
     solved, solve_s = kkt_solved
     start = time.perf_counter()
@@ -61,24 +78,23 @@ def test_criterion_1_kkt_suite(kkt_solved):
             f"bound, min shifted curvature {worst_shift:.1e}, {elapsed:.2f}s")
 
 
-def test_criterion_2_duality_suite():
-    start = time.perf_counter()
-    name, ok, detail = verify.duality_suite()
-    elapsed = time.perf_counter() - start
+def test_criterion_2_duality_suite(suites):
+    name, ok, detail = _suite(suites, "duality")
+    elapsed = suites[1][name]
     ok = ok and elapsed < 30.0
     _report("2", ok, f"{detail}, {elapsed:.1f}s")
 
 
-def test_criterion_3_phi_calculus_and_newton_budget(kkt_solved):
-    name, ok, detail = verify.phi_calculus_suite()
+def test_criterion_3_phi_calculus_and_newton_budget(suites, kkt_solved):
+    name, ok, detail = _suite(suites, "phi-calculus")
     worst_band = max(sol.newton_iters_to_band for *_, sol in kkt_solved[0])
     ok = ok and worst_band <= 25
     _report("3", ok, f"{detail}; max Newton iterations to the kappa_easy "
             f"band over 500 instances: {worst_band} (<= 25)")
 
 
-def test_criterion_4_hutchinson_suite():
-    name, ok, detail = verify.hutchinson_suite()
+def test_criterion_4_hutchinson_suite(suites):
+    name, ok, detail = _suite(suites, "hutchinson")
     _report("4", ok, detail)
 
 
@@ -205,7 +221,7 @@ lr = 0.1
 """
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, suites):
     cfg = parse_config_text(GRID)
     run_experiment(cfg, str(tmp_path / "a"))
     run_experiment(cfg, str(tmp_path / "b"))
@@ -219,9 +235,12 @@ def test_criterion_8_determinism(tmp_path):
     src = os.path.dirname(os.path.dirname(adacubic.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    outs = [subprocess.run([sys.executable, "-m", "adacubic.cli", "verify"],
-                           capture_output=True, env=env).stdout for _ in range(2)]
-    verify_identical = outs[0] == outs[1] and b"all suites passed" in outs[0]
+    # one more execution of every suite, in a fresh interpreter, against the
+    # report of this process's run
+    out = subprocess.run([sys.executable, "-m", "adacubic.cli", "verify"],
+                         capture_output=True, env=env).stdout
+    verify_identical = out == verify.report(suites[0])[0].encode() \
+        and b"all suites passed" in out
     _report("8", identical and verify_identical,
             f"CSV grids byte-identical: {identical}, verify reports "
             f"byte-identical: {verify_identical}")

@@ -154,7 +154,7 @@ def test_different_seeds_differ_stochastically():
 def test_sgd_step_definition():
     obj = make_quadratic(np.array([1.0, 1.0]), np.zeros(2))
     x = np.array([1.0, 2.0])
-    x_new, vel = sgd_step(obj, x, lr=0.1)
+    x_new, vel = sgd_step(x, obj.grad(x), lr=0.1)
     np.testing.assert_allclose(x_new, x - 0.1 * obj.grad(x))
     np.testing.assert_allclose(vel, obj.grad(x))
 
@@ -162,8 +162,8 @@ def test_sgd_step_definition():
 def test_sgd_momentum_accumulates():
     obj = make_quadratic(np.array([1.0]), np.zeros(1))
     x = np.array([1.0])
-    x1, v1 = sgd_step(obj, x, lr=0.1, momentum=0.9)
-    x2, v2 = sgd_step(obj, x1, lr=0.1, momentum=0.9, velocity=v1)
+    x1, v1 = sgd_step(x, obj.grad(x), lr=0.1, momentum=0.9)
+    x2, v2 = sgd_step(x1, obj.grad(x1), lr=0.1, momentum=0.9, velocity=v1)
     np.testing.assert_allclose(v2, 0.9 * v1 + obj.grad(x1))
 
 
@@ -171,7 +171,7 @@ def test_adam_first_step_magnitude():
     obj = make_quadratic(np.array([1.0, 1.0]), np.zeros(2))
     x = np.array([1.0, -2.0])
     moments = (np.zeros(2), np.zeros(2), 0)
-    x_new, _ = adam_step(obj, x, moments, lr=0.01)
+    x_new, _ = adam_step(x, obj.grad(x), moments, lr=0.01)
     # bias-corrected first step is close to -lr * sign(g) per coordinate
     np.testing.assert_allclose(x_new - x, [-0.01, 0.01], rtol=1e-6)
 
@@ -179,7 +179,7 @@ def test_adam_first_step_magnitude():
 def test_adam_zero_gradient_fixed_point():
     obj = make_quadratic(np.array([1.0]), np.zeros(1))
     x = np.zeros(1)
-    x_new, _ = adam_step(obj, x, (np.zeros(1), np.zeros(1), 0), lr=0.01)
+    x_new, _ = adam_step(x, obj.grad(x), (np.zeros(1), np.zeros(1), 0), lr=0.01)
     np.testing.assert_array_equal(x_new, x)
 
 
@@ -197,6 +197,19 @@ def test_run_baseline_rejects_unknown_optimizer():
     obj = make_quadratic(np.array([1.0]), np.zeros(1))
     with pytest.raises(ValueError):
         run_baseline(obj, np.ones(1), "lbfgs", 0.1, 10)
+
+
+@pytest.mark.parametrize("batch_size", [None, 8])
+def test_run_raises_on_a_non_finite_gradient(batch_size):
+    # the curvature is positive everywhere, so without the raise a NaN
+    # gradient norm would fall through to the curvature half of the stop
+    # test and end the run as if it had converged
+    quad = make_quadratic(np.array([1.0, 2.0]), np.zeros(2))
+    obj = Objective(dim=2, eval_fn=quad.eval_fn,
+                    grad_fn=lambda x, b=None: np.full(2, np.nan),
+                    hvp_fn=quad.hvp_fn, num_samples=20)
+    with pytest.raises(FloatingPointError):
+        run(obj, np.ones(2), CFG, 10, batch_size, stop_grad_norm=1e-6)
 
 
 def test_run_baseline_raises_once_its_iterate_diverges():
@@ -232,6 +245,15 @@ def _counting(obj):
                      num_samples=obj.num_samples), counts
 
 
+def _full_gradients(traj, max_iters):
+    """The full-batch gradients a run takes: one at each point at which an
+    iteration starts, that is at x0 and after each accepted step, except the
+    point reached by the accepted last step of a run that used its budget."""
+    accepted = sum(r.accepted for r in traj.records)
+    at_budget = len(traj.records) == max_iters and traj.records[-1].accepted
+    return 1 + accepted - at_budget
+
+
 @pytest.mark.parametrize("obj,x0,iters,stop", [
     (make_rosenbrock(2), np.array([-1.2, 1.0]), 60, 0.0),
     (make_synthetic_logistic(80, 3, 1e-2, 4), np.zeros(3), 40, 1e-8),
@@ -246,21 +268,25 @@ def test_full_batch_run_takes_one_loss_and_at_most_one_gradient_per_iteration(
     traj = run(counted, x0, CFG, iters, stop_grad_norm=stop)
     steps = len(traj.records)
     degenerate = sum(math.isnan(r.rho) for r in traj.records)
-    accepted = sum(r.accepted for r in traj.records)
     assert counts[("eval", "full")] == 1 + steps - degenerate
-    assert counts[("grad", "full")] == 1 + accepted
+    assert counts[("grad", "full")] == _full_gradients(traj, iters)
     # plus the stop check's probes, at each point where the gradient is small
     assert counts[("hvp", "full")] >= CFG.hutchinson_samples * steps
     assert set(counts) == {("eval", "full"), ("grad", "full"), ("hvp", "full")}
 
 
-def test_minibatch_run_takes_one_full_gradient_per_iteration():
-    counted, counts = _counting(make_synthetic_logistic(60, 3, 1e-2, 1))
-    traj = run(counted, np.zeros(3), CFG, 30, batch_size=16)
-    n = len(traj.records)
-    assert n == 30 and not any(math.isnan(r.rho) for r in traj.records)
-    assert counts == {("grad", "full"): n, ("eval", "batch"): 2 * n,
-                      ("grad", "batch"): n, ("hvp", "batch"): n}
+def test_minibatch_run_takes_one_full_gradient_per_point():
+    # the first rejected steps of this run are its 13th, 22nd and 28th: a
+    # budget of 30 ends on an accepted step, one of 28 on a rejected one
+    for iters in (30, 28):
+        counted, counts = _counting(make_synthetic_logistic(60, 3, 1e-2, 1))
+        traj = run(counted, np.zeros(3), CFG, iters, batch_size=16)
+        n = len(traj.records)
+        assert n == iters and not any(math.isnan(r.rho) for r in traj.records)
+        assert traj.records[-1].accepted == (iters == 30)
+        assert counts == {("grad", "full"): _full_gradients(traj, iters),
+                          ("eval", "batch"): 2 * n, ("grad", "batch"): n,
+                          ("hvp", "batch"): n}
 
 
 @pytest.mark.parametrize("batch_size", [None, 8])
@@ -381,7 +407,7 @@ def _reference_run(obj, x0, cfg, max_iters, batch_size=None, stop_grad_norm=0.0,
         records.append(rec)
         if math.isnan(rec.rho) and full_batch:
             break
-    return Trajectory(records=records, final_x=x, seed=cfg.rng_seed)
+    return Trajectory(records=records, final_x=x)
 
 
 def _reference_run_baseline(obj, x0, optimizer, lr, max_iters, batch_size=None,
@@ -401,9 +427,9 @@ def _reference_run_baseline(obj, x0, optimizer, lr, max_iters, batch_size=None,
         loss_before = obj.eval(x, batch)
         g = obj.grad(x, batch)
         if optimizer == "sgd":
-            x_new, vel = sgd_step(obj, x, lr, 0.0, vel, batch)
+            x_new, vel = sgd_step(x, g, lr, 0.0, vel)
         else:
-            x_new, moments = adam_step(obj, x, moments, lr, batch=batch)
+            x_new, moments = adam_step(x, g, moments, lr)
         loss_after = obj.eval(x_new, batch)
         records.append(StepRecord(
             k, loss_before, loss_after, float(np.linalg.norm(g)),
@@ -411,4 +437,4 @@ def _reference_run_baseline(obj, x0, optimizer, lr, max_iters, batch_size=None,
             float(np.linalg.norm(x_new - x)), IterationClass.SUCCESSFUL,
             SubproblemStatus.INTERIOR, True))
         x = x_new
-    return Trajectory(records=records, final_x=x, seed=seed)
+    return Trajectory(records=records, final_x=x)

@@ -71,6 +71,14 @@ kind = adam
     ("[problem.p]\nkind = nope\n[optimizer.o]\nkind = sgd", "kind"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = lbfgs", "unknown kind"),
     ("[problem.p]\nkind = saddle\nx0 = 1,2,3\n[optimizer.o]\nkind = sgd", "x0"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\netaa1 = 0.5",
+     "optimizer.o: unknown key 'etaa1'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nlr = 0.5",
+     "optimizer.o: unknown key 'lr'"),
+    ("[problem.p]\nkind = rosenbrock\ndiim = 7\n[optimizer.o]\nkind = sgd",
+     "problem.p: unknown key 'diim'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\neta1 = 2",
+     "optimizer.o: need 0 < eta1"),
 ])
 def test_config_errors_name_offender(text, fragment):
     with pytest.raises(ConfigError) as err:
