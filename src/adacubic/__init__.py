@@ -6,8 +6,7 @@ Hessian diagonal is estimated from Hessian-vector products with Rademacher
 probes.
 """
 
-from .config import (AdaCubicConfig, IterationClass, TrustRegionState,
-                     accept_step, classify_iteration, update_xi)
+from .config import AdaCubicConfig, IterationClass, update_xi
 from .driver import (StepRecord, Trajectory, adacubic_step, adam_step, rho,
                      run, run_baseline, sgd_step)
 from .hutchinson import exhaustive_diag, hutchinson_diag, rademacher_vector
@@ -23,8 +22,7 @@ from .subproblem import (KktResidual, ShiftNotPositiveDefiniteError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaCubicConfig", "IterationClass", "TrustRegionState", "accept_step",
-    "classify_iteration", "update_xi",
+    "AdaCubicConfig", "IterationClass", "update_xi",
     "StepRecord", "Trajectory", "adacubic_step", "adam_step", "rho", "run",
     "run_baseline", "sgd_step",
     "exhaustive_diag", "hutchinson_diag", "rademacher_vector",

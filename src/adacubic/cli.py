@@ -46,9 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
     if args.seeds is not None:
-        cfg.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not cfg.seeds:
-            raise ConfigError("seeds: empty override")
+        cfg.seeds = harness.checked_seeds(harness.parse_value(args.seeds))
     if args.problem is not None:
         if args.problem not in cfg.problems:
             raise ConfigError(f"problem: no section [problem.{args.problem}]")

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AdaCubicConfig, IterationClass, TrustRegionState, \
-    accept_step, classify_iteration, update_xi
+from .config import AdaCubicConfig, IterationClass, update_xi
 from .hutchinson import hutchinson_diag
 from .problems import Objective, draw_batch
 from .subproblem import SubproblemStatus, root_finder
@@ -85,49 +84,45 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     return Trajectory(records=records, final_x=x)
 
 
-def adacubic_step(obj: Objective, x: np.ndarray, state: TrustRegionState,
-                  cfg: AdaCubicConfig, rng: np.random.Generator, batch=None,
-                  current: tuple[float, np.ndarray] | None = None):
+def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
+                  rng: np.random.Generator, batch=None,
+                  current: tuple[float, np.ndarray] | None = None, iteration: int = 0):
     """One iteration: estimate curvature, solve the subproblem, accept or reject.
 
     Loss, gradient, curvature probes, and the post-step loss are all
     evaluated on ``batch`` (the full objective when it is None).
     ``current`` is the ``(loss, gradient)`` at x on that batch when the
-    caller already has it.  A degenerate step (no predicted decrease)
-    evaluates no post-step loss.  Returns (x', state', record); x' is x
-    when the step is rejected or degenerate.
+    caller already has it; ``iteration`` numbers the record.  A degenerate
+    step (no predicted decrease) evaluates no post-step loss: its record
+    has loss_after = loss_before, rho NaN and class UNSUCCESSFUL, and xi is
+    kept.  Returns (x', xi', record); x' is x when the step is rejected or
+    degenerate.
     """
     loss_before, g = current if current is not None else \
         (obj.eval(x, batch), obj.grad(x, batch))
     b = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim,
                         cfg.hutchinson_samples, rng)
-    sol = root_finder(b, g, state.xi, cfg)
+    sol = root_finder(b, g, xi, cfg)
     s = sol.s
     step_norm = math.sqrt(s @ s)
-    grad_norm = math.sqrt(g @ g)
-
-    degenerate = not (sol.model_decrease > 0.0) or not math.isfinite(sol.model_decrease)
-    if degenerate:
-        rec = StepRecord(state.iteration, loss_before, loss_before, grad_norm,
-                         float("nan"), sol.nu, state.xi, step_norm,
-                         IterationClass.UNSUCCESSFUL, sol.status, False)
-        return x.copy(), TrustRegionState(xi=state.xi, iteration=state.iteration + 1), rec
-
-    loss_after = obj.eval(x + s, batch)
-    ratio = rho(loss_before, loss_after, sol.model_decrease)
-    accepted = accept_step(ratio, cfg)
-    new_xi = update_xi(state, ratio, step_norm ** 3, cfg)
-    rec = StepRecord(state.iteration, loss_before, loss_after, grad_norm, ratio,
-                     sol.nu, state.xi, step_norm, classify_iteration(ratio, cfg),
-                     sol.status, accepted)
-    new_x = x + s if accepted else x.copy()
-    return new_x, TrustRegionState(xi=new_xi, iteration=state.iteration + 1), rec
+    if sol.model_decrease > 0.0 and math.isfinite(sol.model_decrease):
+        loss_after = obj.eval(x + s, batch)
+        ratio = rho(loss_before, loss_after, sol.model_decrease)
+        status, new_xi = update_xi(xi, ratio, step_norm ** 3, cfg)
+    else:  # degenerate: the model predicts no decrease
+        loss_after, ratio, status, new_xi = \
+            loss_before, float("nan"), IterationClass.UNSUCCESSFUL, xi
+    accepted = status is not IterationClass.UNSUCCESSFUL
+    rec = StepRecord(iteration, loss_before, loss_after, math.sqrt(g @ g), ratio,
+                     sol.nu, xi, step_norm, status, sol.status, accepted)
+    return (x + s if accepted else x.copy()), new_xi, rec
 
 
 def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
         batch_size: int | None = None, stop_grad_norm: float = 0.0,
-        xi0: float = 1.0) -> Trajectory:
-    """Iterate :func:`adacubic_step` until the budget or gradient threshold.
+        seed: int = 0) -> Trajectory:
+    """Iterate :func:`adacubic_step` from ``cfg.xi0`` until the budget or
+    gradient threshold.
 
     The stop test is second-order aware: a full-batch gradient below the
     threshold at a point whose estimated diagonal curvature has a negative
@@ -136,8 +131,8 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
     degenerate full-batch step (no predicted decrease) ends the run.  Two
     runs with the same seed and config are bit-identical.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
-    state = TrustRegionState(xi=xi0)
+    rng = np.random.default_rng(seed)
+    xi = float(cfg.xi0)
 
     def curvature_ok(x: np.ndarray) -> bool:
         b = hutchinson_diag(lambda v: obj.hvp(x, v), obj.dim,
@@ -145,8 +140,8 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
         return float(b.min()) >= 0.0
 
     def step(k, x, batch, loss, g):
-        nonlocal state
-        x, state, rec = adacubic_step(obj, x, state, cfg, rng, batch, (loss, g))
+        nonlocal xi
+        x, xi, rec = adacubic_step(obj, x, xi, cfg, rng, batch, (loss, g), k)
         return x, rec
 
     return _iterate(obj, x0, max_iters, batch_size, stop_grad_norm, rng, step,

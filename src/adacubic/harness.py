@@ -70,10 +70,12 @@ class ExperimentConfig:
         return entry[1], entry[2]
 
 
-def _parse_value(raw: str):
+def parse_value(raw: str):
+    """A config value as written: int, float, bool or string; a comma list
+    gives a list of them."""
     raw = raw.strip()
     if "," in raw:
-        return [_parse_value(tok) for tok in raw.split(",") if tok.strip()]
+        return [parse_value(tok) for tok in raw.split(",") if tok.strip()]
     for cast in (int, float):
         try:
             return cast(raw)
@@ -102,7 +104,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line or section is None:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
         key, _, raw = line.partition("=")
-        key, value = key.strip(), _parse_value(raw)
+        key, value = key.strip(), parse_value(raw)
         if section == "run":
             _apply_run_key(cfg, key, value)
         else:
@@ -113,7 +115,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def _apply_run_key(cfg: ExperimentConfig, key: str, value) -> None:
     if key == "seeds":
-        cfg.seeds = [int(v) for v in (value if isinstance(value, list) else [value])]
+        cfg.seeds = checked_seeds(value)
     elif key == "max_iters":
         cfg.max_iters = int(value)
     elif key == "batch_size":
@@ -134,9 +136,8 @@ def load_config(path: str) -> ExperimentConfig:
 # the keys each kind reads besides 'kind'
 _PROBLEM_KEYS = {"quadratic": ("diag", "g0", "x0"), "rosenbrock": ("dim", "x0"),
                  "saddle": ("x0",), "logistic": ("l2", "data", "n", "dim", "data_seed", "x0")}
-_ADACUBIC_KEYS = tuple(f.name for f in fields(AdaCubicConfig) if f.name != "rng_seed")
-_OPTIMIZER_KEYS = {"adacubic": _ADACUBIC_KEYS + ("xi0",), "sgd": ("lr", "momentum"),
-                   "adam": ("lr", "beta1", "beta2", "eps")}
+_OPTIMIZER_KEYS = {"adacubic": tuple(f.name for f in fields(AdaCubicConfig)),
+                   "sgd": ("lr", "momentum"), "adam": ("lr", "beta1", "beta2", "eps")}
 
 
 def _checked_kind(params: dict, keys_by_kind: dict) -> str:
@@ -150,10 +151,37 @@ def _checked_kind(params: dict, keys_by_kind: dict) -> str:
     return kind
 
 
-def _adacubic_config(params: dict, seed: int) -> AdaCubicConfig:
-    """The AdaCubicConfig of an ``optimizer.*`` section, for one run seed."""
-    return AdaCubicConfig(rng_seed=seed,
-                          **{k: v for k, v in params.items() if k in _ADACUBIC_KEYS})
+def _hyperparameters(params: dict):
+    """The checked values of an ``optimizer.*`` section: the section's keys
+    besides ``kind``, as an AdaCubicConfig for adacubic and as run_baseline's
+    keyword arguments (floats, lr included) for sgd and adam."""
+    values = {k: v for k, v in params.items() if k != "kind"}
+    if params["kind"] == "adacubic":
+        return AdaCubicConfig(**values)
+    hyper = {}
+    for key, raw in values.items():
+        try:
+            value = hyper[key] = float(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+        if key in ("lr", "eps"):
+            if not (0.0 < value < math.inf):
+                raise ConfigError(f"need 0 < {key} < inf, got {value}")
+        elif not (0.0 <= value < 1.0):  # momentum, beta1, beta2
+            raise ConfigError(f"need 0 <= {key} < 1, got {value}")
+    return hyper
+
+
+def checked_seeds(value) -> list:
+    """A parsed ``seeds`` value (one seed or a list) as a list of seeds;
+    raises ConfigError unless it holds one or more non-negative integers."""
+    seeds = value if isinstance(value, list) else [value]
+    if not seeds:
+        raise ConfigError("seeds must be non-empty")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
+    return seeds
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -161,8 +189,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("no [problem.*] sections defined")
     if not cfg.optimizers:
         raise ConfigError("no [optimizer.*] sections defined")
-    if not cfg.seeds:
-        raise ConfigError("seeds must be non-empty")
+    checked_seeds(cfg.seeds)
     if cfg.max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
     for name, params in cfg.problems.items():
@@ -172,8 +199,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"problem.{name}: {err}") from None
     for name, params in cfg.optimizers.items():
         try:
-            if _checked_kind(params, _OPTIMIZER_KEYS) == "adacubic":
-                _adacubic_config(params, seed=0)  # range errors surface here
+            _checked_kind(params, _OPTIMIZER_KEYS)
+            _hyperparameters(params)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"optimizer.{name}: {err}") from None
 
@@ -219,13 +246,11 @@ def run_one(problem_params: dict, optimizer_params: dict, seed: int,
             cfg: ExperimentConfig) -> Trajectory:
     obj, x0 = cfg.built_problem(problem_params)
     kind = optimizer_params["kind"]
-    limits = (cfg.max_iters, cfg.batch_size, cfg.stop_grad_norm)
+    limits = (cfg.max_iters, cfg.batch_size, cfg.stop_grad_norm, seed)
+    hyper = _hyperparameters(optimizer_params)
     if kind == "adacubic":
-        return run(obj, x0, _adacubic_config(optimizer_params, seed), *limits,
-                   xi0=float(optimizer_params.get("xi0", 1.0)))
-    # the section's keys are run_baseline's keyword arguments
-    hyper = {k: float(v) for k, v in optimizer_params.items() if k != "kind"}
-    return run_baseline(obj, x0, kind, hyper.pop("lr", 0.1), *limits, seed, **hyper)
+        return run(obj, x0, hyper, *limits)
+    return run_baseline(obj, x0, kind, hyper.pop("lr", 0.1), *limits, **hyper)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Hyperparameter defaults, validation, and the acceptance / xi-update rules."""
+"""Hyperparameter defaults, validation, and the trust-region rule."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from adacubic import (AdaCubicConfig, IterationClass, TrustRegionState,
-                      accept_step, classify_iteration, update_xi)
+from adacubic import (AdaCubicConfig, IterationClass, adacubic_step,
+                      make_quadratic, update_xi)
 
 
 def test_default_hyperparameters():
@@ -19,7 +20,7 @@ def test_default_hyperparameters():
     assert cfg.eps_m == 1e-6
     assert cfg.hutchinson_samples == 1
     assert cfg.max_newton_iters == 100
-    assert cfg.rng_seed == 0
+    assert cfg.xi0 == 1.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -35,6 +36,18 @@ def test_default_hyperparameters():
     {"hutchinson_samples": 0},
     {"max_newton_iters": 0},
     {"kkt_tol": -1.0},
+    # NaN fails every check
+    {"kkt_tol": math.nan},
+    {"eps_m": math.nan},
+    # the two counts are integers, not floats or bools
+    {"hutchinson_samples": 2.5},
+    {"hutchinson_samples": True},
+    {"max_newton_iters": 2.5},
+    # eps_m <= xi0 < inf
+    {"xi0": -1.0},
+    {"xi0": 1e-7},
+    {"xi0": math.inf},
+    {"xi0": math.nan},
 ])
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -43,91 +56,88 @@ def test_invalid_config_rejected(kwargs):
 
 def test_replace_returns_new_validated_config():
     cfg = AdaCubicConfig()
-    other = cfg.replace(eta2=0.9)
+    other = dataclasses.replace(cfg, eta2=0.9)
     assert other.eta2 == 0.9
     assert cfg.eta2 == 0.75
     with pytest.raises(ValueError):
-        cfg.replace(eta2=1.5)
+        dataclasses.replace(cfg, eta2=1.5)
 
 
 def test_classify_iteration_branches():
     cfg = AdaCubicConfig()
-    assert classify_iteration(0.9, cfg) is IterationClass.VERY_SUCCESSFUL
-    assert classify_iteration(0.75, cfg) is IterationClass.VERY_SUCCESSFUL
-    assert classify_iteration(0.3, cfg) is IterationClass.SUCCESSFUL
+
+    def cls(rho):
+        return update_xi(0.1, rho, 0.2, cfg)[0]
+
+    assert cls(0.9) is IterationClass.VERY_SUCCESSFUL
+    assert cls(0.75) is IterationClass.VERY_SUCCESSFUL
+    assert cls(0.3) is IterationClass.SUCCESSFUL
     # boundary rho == eta1 counts as Successful (accepted, xi kept)
-    assert classify_iteration(0.05, cfg) is IterationClass.SUCCESSFUL
-    assert classify_iteration(0.01, cfg) is IterationClass.UNSUCCESSFUL
-    assert classify_iteration(-1.0, cfg) is IterationClass.UNSUCCESSFUL
+    assert update_xi(0.1, 0.05, 0.2, cfg) == (IterationClass.SUCCESSFUL, 0.1)
+    assert cls(0.01) is IterationClass.UNSUCCESSFUL
+    assert cls(-1.0) is IterationClass.UNSUCCESSFUL
 
 
 def test_classify_rejects_nan():
-    cfg = AdaCubicConfig()
     with pytest.raises(ValueError):
-        classify_iteration(float("nan"), cfg)
-    with pytest.raises(ValueError):
-        accept_step(float("nan"), cfg)
+        update_xi(1.0, math.nan, 0.1, AdaCubicConfig())
 
 
 def test_accept_step():
+    # a step is accepted exactly when its class is not UNSUCCESSFUL, which
+    # is the paper's rule rho >= eta1, boundary included
     cfg = AdaCubicConfig()
-    assert accept_step(0.5, cfg)
-    assert accept_step(0.05, cfg)  # equality accepted
-    assert not accept_step(-1.0, cfg)
-    assert not accept_step(0.049, cfg)
-
-
-def test_accept_and_classify_agree():
-    cfg = AdaCubicConfig()
-    for rho in np.linspace(-1.0, 1.5, 101):
-        rho = float(rho)
-        if not accept_step(rho, cfg):
-            assert classify_iteration(rho, cfg) is IterationClass.UNSUCCESSFUL
+    rhos = [0.5, 0.05, 0.049, -1.0] + [float(r) for r in np.linspace(-1.0, 1.5, 101)]
+    for rho in rhos:
+        cls, _ = update_xi(1.0, rho, 0.1, cfg)
+        assert (cls is not IterationClass.UNSUCCESSFUL) == (rho >= cfg.eta1)
 
 
 def test_update_xi_branches():
     cfg = AdaCubicConfig()
-    state = TrustRegionState(xi=0.1)
     # very successful: expand toward alpha1 * ||s||^3
-    assert update_xi(state, 0.9, 0.2, cfg) == pytest.approx(0.5)
+    assert update_xi(0.1, 0.9, 0.2, cfg)[1] == pytest.approx(0.5)
     # successful: keep
-    assert update_xi(state, 0.3, 0.2, cfg) == 0.1
+    assert update_xi(0.1, 0.3, 0.2, cfg)[1] == 0.1
     # unsuccessful: shrink, floored at eps_m
-    assert update_xi(state, 0.01, 1e-9, cfg) == 1e-6
+    assert update_xi(0.1, 0.01, 1e-9, cfg)[1] == 1e-6
 
 
 def test_update_xi_expansion_never_shrinks():
-    cfg = AdaCubicConfig()
-    state = TrustRegionState(xi=10.0)
-    assert update_xi(state, 0.9, 0.001, cfg) == 10.0
+    assert update_xi(10.0, 0.9, 0.001, AdaCubicConfig())[1] == 10.0
 
 
 def test_xi_floor_over_random_update_sequences():
     cfg = AdaCubicConfig()
     rng = np.random.default_rng(3)
-    state = TrustRegionState(xi=1.0)
+    xi = 1.0
     for _ in range(500):
         rho = float(rng.uniform(-2.0, 2.0))
         cube = float(rng.uniform(0.0, 2.0))
-        state.xi = update_xi(state, rho, cube, cfg)
-        assert state.xi >= cfg.eps_m
+        _, xi = update_xi(xi, rho, cube, cfg)
+        assert xi >= cfg.eps_m
 
 
 def test_update_xi_monotone_in_step_norm():
     cfg = AdaCubicConfig()
-    state = TrustRegionState(xi=1e-6)
     cubes = np.linspace(0.0, 5.0, 50)
-    vsi = [update_xi(state, 0.9, float(c), cfg) for c in cubes]
-    ui = [update_xi(state, 0.0, float(c), cfg) for c in cubes]
+    vsi = [update_xi(1e-6, 0.9, float(c), cfg)[1] for c in cubes]
+    ui = [update_xi(1e-6, 0.0, float(c), cfg)[1] for c in cubes]
     assert all(b >= a for a, b in zip(vsi, vsi[1:]))
     assert all(b >= a for a, b in zip(ui, ui[1:]))
 
 
 def test_update_xi_rejects_negative_cube():
     with pytest.raises(ValueError):
-        update_xi(TrustRegionState(), 0.5, -1.0, AdaCubicConfig())
+        update_xi(1.0, 0.5, -1.0, AdaCubicConfig())
 
 
 def test_nan_rho_propagates_from_update():
+    # a finite predicted decrease with a NaN loss after the step gives a NaN
+    # rho: the step raises rather than recording a rejection
+    quad = make_quadratic(np.array([1.0]), np.array([1.0]))
+    obj = dataclasses.replace(
+        quad, eval_fn=lambda x, b=None: 0.0 if x[0] == 0.0 else math.nan)
     with pytest.raises(ValueError):
-        update_xi(TrustRegionState(), math.nan, 0.1, AdaCubicConfig())
+        adacubic_step(obj, np.zeros(1), 1.0, AdaCubicConfig(),
+                      np.random.default_rng(0))

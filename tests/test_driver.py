@@ -1,17 +1,17 @@
 """Outer loop behavior: acceptance, rejection, determinism, saddle escape,
 and the SGD / Adam baselines."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from adacubic import (AdaCubicConfig, IterationClass, Objective, StepRecord,
-                      SubproblemStatus, Trajectory, TrustRegionState,
-                      accept_step, adacubic_step, adam_step, classify_iteration,
+                      SubproblemStatus, Trajectory, adacubic_step, adam_step,
                       draw_batch, hutchinson_diag, make_quadratic,
                       make_rosenbrock, make_saddle, make_synthetic_logistic, rho,
-                      root_finder, run, run_baseline, sgd_step, update_xi)
+                      root_finder, run, run_baseline, sgd_step)
 from adacubic.harness import record_to_row
 
 CFG = AdaCubicConfig()
@@ -33,23 +33,23 @@ def test_rho_rejects_degenerate_model():
 def test_step_lands_on_quadratic_minimizer_when_interior():
     obj = make_quadratic(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     x = np.array([1.0, 1.0])
-    state = TrustRegionState(xi=1000.0)
-    x_new, state_new, rec = adacubic_step(obj, x, state, CFG,
-                                          np.random.default_rng(0))
+    x_new, xi_new, rec = adacubic_step(obj, x, 1000.0, CFG,
+                                       np.random.default_rng(0), iteration=7)
     np.testing.assert_allclose(x_new, [-1.0, -0.5], atol=1e-12)
     assert rec.subproblem_status is SubproblemStatus.INTERIOR
     assert rec.nu == 0.0
     assert rec.accepted
     # exact quadratic model: actual drop equals predicted quadratic drop
     assert rec.rho == pytest.approx(1.0)
-    assert state_new.iteration == 1
+    assert rec.status is IterationClass.VERY_SUCCESSFUL
+    assert xi_new == 1000.0  # expansion never shrinks xi
+    assert rec.iteration == 7
 
 
 def test_step_escapes_saddle_via_hard_case():
     obj = make_saddle()
     x = np.zeros(2)
-    x_new, _, rec = adacubic_step(obj, x, TrustRegionState(xi=1.0), CFG,
-                                  np.random.default_rng(0))
+    x_new, _, rec = adacubic_step(obj, x, 1.0, CFG, np.random.default_rng(0))
     assert rec.subproblem_status is SubproblemStatus.HARD_CASE
     assert x_new[1] != 0.0
     assert obj.eval(x_new) < obj.eval(x)
@@ -67,22 +67,23 @@ def test_rejected_step_keeps_point_and_shrinks_xi():
         grad_fn=obj.grad_fn, hvp_fn=obj.hvp_fn,
         exact_diag_fn=obj.exact_diag_fn)
     x = np.array([0.0])
-    state = TrustRegionState(xi=8.0)
-    x_new, state_new, rec = adacubic_step(lying, x, state, CFG,
-                                          np.random.default_rng(0))
+    x_new, xi_new, rec = adacubic_step(lying, x, 8.0, CFG,
+                                       np.random.default_rng(0))
     assert not rec.accepted
     assert rec.status is IterationClass.UNSUCCESSFUL
     np.testing.assert_array_equal(x_new, x)
-    assert state_new.xi == max(CFG.alpha2 * rec.step_norm ** 3, CFG.eps_m)
+    assert xi_new == max(CFG.alpha2 * rec.step_norm ** 3, CFG.eps_m)
 
 
 def test_degenerate_stationary_step_is_terminal_record():
     obj = make_quadratic(np.array([1.0, 2.0]), np.zeros(2))
     x = np.zeros(2)  # gradient is exactly zero, PD curvature
-    x_new, _, rec = adacubic_step(obj, x, TrustRegionState(xi=1.0), CFG,
-                                  np.random.default_rng(0))
+    x_new, xi_new, rec = adacubic_step(obj, x, 1.0, CFG, np.random.default_rng(0))
     assert math.isnan(rec.rho)
     assert not rec.accepted
+    assert rec.status is IterationClass.UNSUCCESSFUL
+    assert rec.loss_after == rec.loss_before
+    assert xi_new == rec.xi == 1.0
     np.testing.assert_array_equal(x_new, x)
 
 
@@ -142,7 +143,7 @@ def test_run_is_deterministic():
 def test_different_seeds_differ_stochastically():
     obj = make_synthetic_logistic(60, 3, 1e-2, 1)
     a = run(obj, np.zeros(3), CFG, 10, batch_size=8)
-    b = run(obj, np.zeros(3), CFG.replace(rng_seed=1), 10, batch_size=8)
+    b = run(obj, np.zeros(3), CFG, 10, batch_size=8, seed=1)
     assert any(ra.loss_before != rb.loss_before
                for ra, rb in zip(a.records, b.records))
 
@@ -344,17 +345,45 @@ def _dense_rosenbrock(d):
 ])
 def test_run_matches_the_loop_that_evaluated_every_oracle_value(obj, x0, iters,
                                                                 batch_size, stop):
-    for seed in (0, 1):
-        cfg = CFG.replace(rng_seed=seed)
-        got = run(obj, x0, cfg, iters, batch_size, stop)
-        want = _reference_run(obj, x0, cfg, iters, batch_size, stop)
+    for seed, xi0 in ((0, 1.0), (1, 0.5)):
+        cfg = dataclasses.replace(CFG, xi0=xi0)
+        got = run(obj, x0, cfg, iters, batch_size, stop, seed)
+        want = _reference_run(obj, x0, cfg, iters, batch_size, stop, seed)
         assert _rows(got) == _rows(want)
         assert np.array_equal(got.final_x, want.final_x)
 
 
-def _reference_step(obj, x, state, cfg, rng, batch_size=None):
-    """adacubic_step as it was before run carried the loss and gradient:
-    every value is evaluated afresh."""
+def _classify(rho, cfg):
+    if math.isnan(rho):
+        raise ValueError("rho is NaN")
+    if rho >= cfg.eta2:
+        return IterationClass.VERY_SUCCESSFUL
+    if rho >= cfg.eta1:
+        return IterationClass.SUCCESSFUL
+    return IterationClass.UNSUCCESSFUL
+
+
+def _accept(rho, cfg):
+    if math.isnan(rho):
+        raise ValueError("rho is NaN")
+    return rho >= cfg.eta1
+
+
+def _update_xi(xi, rho, step_norm_cubed, cfg):
+    if step_norm_cubed < 0.0:
+        raise ValueError("step_norm_cubed must be nonnegative")
+    cls = _classify(rho, cfg)
+    if cls is IterationClass.VERY_SUCCESSFUL:
+        return max(cfg.alpha1 * step_norm_cubed, xi)
+    if cls is IterationClass.SUCCESSFUL:
+        return xi
+    return max(cfg.alpha2 * step_norm_cubed, cfg.eps_m)
+
+
+def _reference_step(obj, x, xi, k, cfg, rng, batch_size=None):
+    """adacubic_step as it was before run carried the loss and gradient, with
+    the acceptance, classification and xi-update rules kept apart: every
+    value is evaluated afresh.  Returns (x', xi', record)."""
     batch = None
     if batch_size is not None and obj.num_samples > 0:
         batch = draw_batch(rng, obj.num_samples, batch_size)
@@ -363,33 +392,33 @@ def _reference_step(obj, x, state, cfg, rng, batch_size=None):
     g = obj.grad(x, batch)
     b = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim,
                         cfg.hutchinson_samples, rng)
-    sol = root_finder(b, g, state.xi, cfg)
+    sol = root_finder(b, g, xi, cfg)
     s = sol.s
     step_norm = float(np.linalg.norm(s))
     loss_after = obj.eval(x + s, batch)
 
     degenerate = not (sol.model_decrease > 0.0) or not math.isfinite(sol.model_decrease)
     if degenerate:
-        rec = StepRecord(state.iteration, loss_before, loss_before,
-                         float(np.linalg.norm(g)), float("nan"), sol.nu, state.xi,
+        rec = StepRecord(k, loss_before, loss_before,
+                         float(np.linalg.norm(g)), float("nan"), sol.nu, xi,
                          step_norm, IterationClass.UNSUCCESSFUL, sol.status, False)
-        return x.copy(), TrustRegionState(xi=state.xi, iteration=state.iteration + 1), rec
+        return x.copy(), xi, rec
 
     ratio = rho(loss_before, loss_after, sol.model_decrease)
-    accepted = accept_step(ratio, cfg)
-    new_xi = update_xi(state, ratio, step_norm ** 3, cfg)
-    rec = StepRecord(state.iteration, loss_before, loss_after,
-                     float(np.linalg.norm(g)), ratio, sol.nu, state.xi, step_norm,
-                     classify_iteration(ratio, cfg), sol.status, accepted)
+    accepted = _accept(ratio, cfg)
+    new_xi = _update_xi(xi, ratio, step_norm ** 3, cfg)
+    rec = StepRecord(k, loss_before, loss_after,
+                     float(np.linalg.norm(g)), ratio, sol.nu, xi, step_norm,
+                     _classify(ratio, cfg), sol.status, accepted)
     new_x = x + s if accepted else x.copy()
-    return new_x, TrustRegionState(xi=new_xi, iteration=state.iteration + 1), rec
+    return new_x, new_xi, rec
 
 
 def _reference_run(obj, x0, cfg, max_iters, batch_size=None, stop_grad_norm=0.0,
-                   xi0=1.0):
-    rng = np.random.default_rng(cfg.rng_seed)
+                   seed=0):
+    rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float).copy()
-    state = TrustRegionState(xi=xi0)
+    xi = cfg.xi0
     records = []
     full_batch = batch_size is None or obj.num_samples == 0
 
@@ -400,10 +429,10 @@ def _reference_run(obj, x0, cfg, max_iters, batch_size=None, stop_grad_norm=0.0,
                             cfg.hutchinson_samples, rng)
         return float(b.min()) >= 0.0
 
-    for _ in range(max_iters):
+    for k in range(max_iters):
         if stationary(x):
             break
-        x, state, rec = _reference_step(obj, x, state, cfg, rng, batch_size)
+        x, xi, rec = _reference_step(obj, x, xi, k, cfg, rng, batch_size)
         records.append(rec)
         if math.isnan(rec.rho) and full_batch:
             break

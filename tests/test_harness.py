@@ -79,6 +79,29 @@ kind = adam
      "problem.p: unknown key 'diim'"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\neta1 = 2",
      "optimizer.o: need 0 < eta1"),
+    # every value of a section is converted and range-checked at load
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = abc",
+     "optimizer.o: lr must be a number"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = -1",
+     "optimizer.o: need 0 < lr"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nmomentum = 1",
+     "optimizer.o: need 0 <= momentum < 1"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adam\nbeta1 = 1.5",
+     "optimizer.o: need 0 <= beta1 < 1"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adam\nbeta2 = nan",
+     "optimizer.o: need 0 <= beta2 < 1"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adam\neps = 0",
+     "optimizer.o: need 0 < eps"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = -1",
+     "optimizer.o: need eps_m <= xi0"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = abc",
+     "optimizer.o:"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\n"
+     "hutchinson_samples = 2.5", "optimizer.o: hutchinson_samples"),
+    ("[run]\nseeds = -1\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "seeds must be non-negative integers"),
+    ("[run]\nseeds = 0,1.5\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "seeds must be non-negative integers"),
 ])
 def test_config_errors_name_offender(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -306,6 +329,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert cli.main(["run", "--config", cfg_path, "--problem", "nope"]) == 2
     assert cli.main(["run", "--config", cfg_path, "--optimizer", "nope"]) == 2
+    # a --seeds override is checked as a seeds line in the file is
+    for seeds in ("-1", "0,-2", ",", "1.5", "abc"):
+        assert cli.main(["run", "--config", cfg_path, "--seeds", seeds,
+                         "--out", str(tmp_path / "o")]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("[run]\nwat = 1\n")
     assert cli.main(["run", "--config", str(bad)]) == 2

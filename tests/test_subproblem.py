@@ -2,6 +2,8 @@
 hard-case branch, checked against closed forms, the brute-force oracle and
 the two-loop root finder it replaced."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -439,9 +441,10 @@ def test_max_newton_iters_bounds_the_passes():
                          for sol in [root_finder(b, g, xi, CFG)]
                          if sol.newton_iters > 2)
     with pytest.raises(SolverStallError) as info:
-        root_finder(b, g, xi, CFG.replace(max_newton_iters=2))
+        root_finder(b, g, xi, dataclasses.replace(CFG, max_newton_iters=2))
     assert info.value.best.newton_iters == 2
     assert np.all(np.isfinite(info.value.best.s))
     # a budget of exactly the passes a solve needs returns the same solution
-    exact = root_finder(b, g, xi, CFG.replace(max_newton_iters=sol.newton_iters))
+    exact = root_finder(b, g, xi,
+                        dataclasses.replace(CFG, max_newton_iters=sol.newton_iters))
     assert exact.nu == sol.nu and np.array_equal(exact.s, sol.s)
