@@ -117,15 +117,24 @@ def _apply_run_key(cfg: ExperimentConfig, key: str, value) -> None:
     if key == "seeds":
         cfg.seeds = checked_seeds(value)
     elif key == "max_iters":
-        cfg.max_iters = int(value)
+        cfg.max_iters = _positive_int(key, value)
     elif key == "batch_size":
-        cfg.batch_size = None if value == "full" else int(value)
+        cfg.batch_size = None if value == "full" else _positive_int(key, value)
     elif key == "stop_grad_norm":
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0.0 <= value < math.inf):  # NaN fails
+            raise ConfigError(f"need 0 <= stop_grad_norm < inf, got {value!r}")
         cfg.stop_grad_norm = float(value)
     elif key == "out":
         cfg.out = str(value)
     else:
         raise ConfigError(f"unknown [run] key: {key}")
+
+
+def _positive_int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def load_config(path: str) -> ExperimentConfig:

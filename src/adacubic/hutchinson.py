@@ -8,11 +8,21 @@ from typing import Callable
 import numpy as np
 
 
-def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
-    """i.i.d. +-1 entries drawn from ``rng``; deterministic given its seed."""
+def _rademacher_probes(rng: np.random.Generator, S: int, d: int) -> np.ndarray:
+    """S rows of d i.i.d. +-1 entries, drawn from ``rng`` in one call.
+
+    PCG64 serves these bounded draws 32 bits at a time from its own buffer,
+    so one (S, d) draw yields the same rows, and leaves ``rng`` in the same
+    state, as S draws of d entries.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
-    return rng.integers(0, 2, size=d).astype(float) * 2.0 - 1.0
+    return rng.integers(0, 2, size=(S, d)).astype(float) * 2.0 - 1.0
+
+
+def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
+    """i.i.d. +-1 entries drawn from ``rng``; deterministic given its seed."""
+    return _rademacher_probes(rng, 1, d)[0]
 
 
 def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int, S: int,
@@ -25,10 +35,9 @@ def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int, S: int,
     if S < 1:
         raise ValueError("S must be >= 1")
     acc = np.zeros(d)
-    for _ in range(S):
-        v = rademacher_vector(rng, d)
+    for v in _rademacher_probes(rng, S, d):
         hv = np.asarray(hvp(v), dtype=float)
-        if not np.all(np.isfinite(hv)):
+        if not np.isfinite(hv).all():
             raise FloatingPointError("non-finite Hessian-vector product")
         acc += hv * v
     return acc / S

@@ -236,12 +236,18 @@ def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float,
     along the sphere instead).  Accuracy is O(xi^(1/3)/resolution) per
     coordinate.  Deliberately independent of any secular-equation machinery.
 
-    The grid is never held whole: the sums over all axes but the last are
-    formed once, and the last axis is added one slab of the first axis at a
-    time (for d = 3, slabs of resolution^2 points), so working memory is
-    O(resolution^(d-1)).  Every grid value is summed in axis order, as a
-    dense evaluation would, and ties go to the first point in C order, so
-    the grid argmin is the dense grid's.
+    Only the grid rows that can hold the minimum are evaluated.  A row is
+    one grid line along the last axis.  The sums over all other axes are
+    formed once per row; over the row's feasible interval, widened to cover
+    every point the floating-point mask admits, the row's model is at least
+    that sum plus the continuous minimum of g[-1] t + 1/2 b[-1] t^2, less a
+    rounding slack.  One row, the one with the smallest bound, is evaluated
+    for an upper bound V on the grid minimum; then only the rows whose
+    bound is <= V are, in C order.  Each skipped row holds only values
+    strictly above V, so the argmin, with ties going to the first point in
+    C order, is the dense grid's, and every value that is evaluated is
+    summed in axis order as a dense evaluation would.  Working memory is
+    O(resolution^(d-1)).
     """
     b = np.asarray(b, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -253,6 +259,7 @@ def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float,
     if xi <= 0.0:
         raise ValueError("xi must be positive")
     r = xi ** (1.0 / 3.0)
+    rr = r * r
 
     axes = [np.linspace(-r, r, resolution)] * d
     # model and squared norm summed over every axis but the last, flattened
@@ -263,25 +270,51 @@ def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float,
     for i in range(d - 1):
         head_m = head_m + g[i] * grids[i] + 0.5 * b[i] * grids[i] ** 2
         head_sq = head_sq + grids[i] ** 2
-    head_m = head_m.reshape(-1, 1)
-    head_sq = head_sq.reshape(-1, 1)
+    head_m, head_sq = head_m.ravel(), head_sq.ravel()
     last = axes[-1]
     last_lin, last_quad, last_sq = g[-1] * last, 0.5 * b[-1] * last ** 2, last ** 2
 
-    # one slab of the first axis at a time, into reused buffers: fresh
-    # slab-sized temporaries cost more than the arithmetic
-    slab_rows = min(resolution, head_m.shape[0])
+    # A lower bound on every masked value of each row, with u the unit
+    # round-off.  The mask admits t when fl(head_sq + fl(t^2)) <= rr, so
+    # t^2 <= (rr - head_sq + 2.01 u rr)(1 + 1.01 u) < reach^2.  On
+    # |t| <= reach, g t + 1/2 b t^2 is least at -g/b when b > 0 and that
+    # lies inside, else at an end.  A masked value, summed as
+    # fl(fl(head_m + fl(g t)) + fl(1/2 b fl(t^2))), is within 4.1 u of its
+    # terms' sizes of the exact sum; the slack is 16 u of a bound on those
+    # sizes, which also covers the rounding of the bound itself.  A row
+    # with head_sq > rr admits no point and gets an infinite bound.
+    eps = np.finfo(float).eps
+    abs_g, b_last = abs(float(g[-1])), float(b[-1])
+    reach = np.sqrt(np.maximum(rr - head_sq, 0.0) + 4.0 * eps * rr) * (1.0 + 4.0 * eps)
+    t = np.minimum(reach, abs_g / b_last) if b_last > 0.0 else reach
+    bound = (head_m + (0.5 * b_last * t - abs_g) * t
+             - 8.0 * eps * (np.abs(head_m) + (abs_g + 0.5 * abs(b_last) * reach) * reach))
+    bound[head_sq > rr] = np.inf
+
+    # the first minimum, in C order, of the given rows (ascending), summed
+    # into reused buffers: fresh temporaries cost more than the arithmetic
+    slab_rows = min(resolution, head_m.size)
     m, sq = np.empty((slab_rows, resolution)), np.empty((slab_rows, resolution))
+
+    def first_min(rows):
+        n = rows.size
+        np.add(head_m[rows, None], last_lin, out=m[:n])
+        m[:n] += last_quad
+        np.add(head_sq[rows, None], last_sq, out=sq[:n])
+        m[:n][sq[:n] > rr] = np.inf
+        k = int(np.argmin(m[:n]))
+        return int(rows[k // resolution]) * resolution + k % resolution, m[:n].flat[k]
+
+    # `upper` is a grid value, and every value of a row whose bound exceeds
+    # it is strictly above it, so such a row holds no minimum and no tie of
+    # one; the other rows go in C order, at most `slab_rows` at a time
+    _, upper = first_min(np.array([np.argmin(bound)]))
+    survivors = np.flatnonzero(bound <= upper)
     best_flat, best_val = 0, np.inf
-    for start in range(0, head_m.shape[0], slab_rows):
-        rows = slice(start, start + slab_rows)
-        np.add(head_m[rows], last_lin, out=m)
-        m += last_quad
-        np.add(head_sq[rows], last_sq, out=sq)
-        m[sq > r * r] = np.inf
-        k = int(np.argmin(m))
-        if m.flat[k] < best_val:  # strict: the earliest slab keeps a tie
-            best_flat, best_val = start * resolution + k, m.flat[k]
+    for start in range(0, survivors.size, slab_rows):
+        flat, val = first_min(survivors[start:start + slab_rows])
+        if val < best_val:  # strict: the earliest slab keeps a tie
+            best_flat, best_val = flat, val
     best = np.unravel_index(best_flat, (resolution,) * d)
     s = np.array([axes[i][best[i]] for i in range(d)])
 

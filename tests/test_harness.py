@@ -102,6 +102,25 @@ kind = adam
      "seeds must be non-negative integers"),
     ("[run]\nseeds = 0,1.5\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
      "seeds must be non-negative integers"),
+    # every [run] value is converted and range-checked at load
+    ("[run]\nmax_iters = abc\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "max_iters must be an integer >= 1"),
+    ("[run]\nmax_iters = 2.5\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "max_iters must be an integer >= 1"),
+    ("[run]\nbatch_size = -3\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "batch_size must be an integer >= 1"),
+    ("[run]\nbatch_size = 0\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "batch_size must be an integer >= 1"),
+    ("[run]\nbatch_size = half\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "batch_size must be an integer >= 1"),
+    ("[run]\nstop_grad_norm = nan\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "need 0 <= stop_grad_norm < inf"),
+    ("[run]\nstop_grad_norm = -1e-6\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "need 0 <= stop_grad_norm < inf"),
+    ("[run]\nstop_grad_norm = inf\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "need 0 <= stop_grad_norm < inf"),
+    ("[run]\nstop_grad_norm = abc\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "need 0 <= stop_grad_norm < inf"),
 ])
 def test_config_errors_name_offender(text, fragment):
     with pytest.raises(ConfigError) as err:

@@ -95,3 +95,25 @@ def test_sequential_accumulation_is_seed_deterministic():
     a = hutchinson_diag(lambda v: H @ v, 4, 8, np.random.default_rng(5))
     b = hutchinson_diag(lambda v: H @ v, 4, 8, np.random.default_rng(5))
     np.testing.assert_array_equal(a, b)
+
+
+def _reference_diag(hvp, d, S, rng):
+    """One Rademacher draw per probe, accumulated in order: the estimator
+    as S separate draws of d entries."""
+    acc = np.zeros(d)
+    for _ in range(S):
+        v = rademacher_vector(rng, d)
+        acc += np.asarray(hvp(v), dtype=float) * v
+    return acc / S
+
+
+@pytest.mark.parametrize("S", [1, 3, 16])
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_probes_drawn_at_once_match_one_draw_per_probe(S, d):
+    A = np.random.default_rng(11).standard_normal((d, d))
+    H = 0.5 * (A + A.T)
+    ours, ref = np.random.default_rng(S * 100 + d), np.random.default_rng(S * 100 + d)
+    est = hutchinson_diag(lambda v: H @ v, d, S, ours)
+    assert np.array_equal(est, _reference_diag(lambda v: H @ v, d, S, ref))
+    # and both generators are left in the same state
+    assert np.array_equal(ours.random(4), ref.random(4))

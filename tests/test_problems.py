@@ -282,3 +282,45 @@ def test_brute_force_matches_dense_grid_bit_for_bit():
     for b, g, xi in cases:
         s = brute_force_subproblem_min(b, g, xi)
         assert np.array_equal(s, _dense_brute_force(b, g, xi)), (b, g, xi)
+
+
+def _fuzz_instance(rng, d, kind):
+    b = rng.uniform(-2.0, 2.0, size=d)
+    g = rng.uniform(-1.0, 1.0, size=d)
+    xi = 10.0 ** rng.uniform(-4.0, 1.0)
+    if kind == "all-negative":
+        b = -np.abs(b)
+    elif kind == "last-negative":
+        b = np.abs(b)
+        b[-1] = -b[-1]
+    elif kind == "last-zero":
+        b[-1] = 0.0
+    elif kind == "zero-g":
+        g = np.zeros(d)
+    elif kind == "scaled-up":
+        b, g = b * 1e3, g * 1e3
+    elif kind == "scaled-down":
+        b, g = b * 1e-3, g * 1e-3
+    elif kind == "sphere":
+        # positive curvature, but the unconstrained minimizer -g/b lies
+        # four radii out, so the constrained one is on the sphere
+        b = np.abs(b) + 0.5
+        g = np.sign(g) * 4.0 * b * xi ** (1.0 / 3.0)
+    return b, g, xi
+
+
+def test_brute_force_row_search_matches_dense_grid_on_fuzzed_instances():
+    # the search skips the rows whose lower bound exceeds a found value;
+    # these instances put the last axis's curvature on either side of zero
+    # and at zero, the gradient at zero, the scale far from one and the
+    # minimizer on the sphere, where the bound is tightest
+    rng = np.random.default_rng(2718)
+    kinds = ("mixed", "all-negative", "last-negative", "last-zero", "zero-g",
+             "scaled-up", "scaled-down", "sphere")
+    # d = 3 gets three instances: its dense grid costs about 0.3 s each
+    draws = [(d, kind) for d in (1, 2) for kind in kinds for _ in range(2)]
+    draws += [(3, "last-negative"), (3, "last-zero"), (3, "sphere")]
+    for d, kind in draws:
+        b, g, xi = _fuzz_instance(rng, d, kind)
+        s = brute_force_subproblem_min(b, g, xi)
+        assert np.array_equal(s, _dense_brute_force(b, g, xi)), (kind, b, g, xi)
