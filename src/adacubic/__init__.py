@@ -9,15 +9,14 @@ probes.
 from .config import AdaCubicConfig, IterationClass, update_xi
 from .driver import (StepRecord, Trajectory, adacubic_step, adam_step, rho,
                      run, run_baseline, sgd_step)
-from .hutchinson import exhaustive_diag, hutchinson_diag, rademacher_vector
+from .hutchinson import exhaustive_diag, hutchinson_diag
 from .problems import (Objective, brute_force_subproblem_min, draw_batch,
-                       finite_difference_hvp, load_logistic_csv, make_logistic,
-                       make_quadratic, make_rosenbrock, make_saddle,
-                       make_synthetic_logistic)
+                       load_logistic_csv, make_logistic, make_quadratic,
+                       make_rosenbrock, make_saddle, make_synthetic_logistic)
 from .subproblem import (KktResidual, ShiftNotPositiveDefiniteError,
                          SolverStallError, SubproblemSolution, SubproblemStatus,
                          dphi_dnu, hard_case_step, kkt_residual, phi,
-                         root_finder, solve_shifted)
+                         root_finder)
 
 __version__ = "0.1.0"
 
@@ -25,11 +24,11 @@ __all__ = [
     "AdaCubicConfig", "IterationClass", "update_xi",
     "StepRecord", "Trajectory", "adacubic_step", "adam_step", "rho", "run",
     "run_baseline", "sgd_step",
-    "exhaustive_diag", "hutchinson_diag", "rademacher_vector",
+    "exhaustive_diag", "hutchinson_diag",
     "Objective", "brute_force_subproblem_min", "draw_batch",
-    "finite_difference_hvp", "load_logistic_csv", "make_logistic",
-    "make_quadratic", "make_rosenbrock", "make_saddle", "make_synthetic_logistic",
+    "load_logistic_csv", "make_logistic", "make_quadratic", "make_rosenbrock",
+    "make_saddle", "make_synthetic_logistic",
     "KktResidual", "ShiftNotPositiveDefiniteError", "SolverStallError",
     "SubproblemSolution", "SubproblemStatus", "dphi_dnu", "hard_case_step",
-    "kkt_residual", "phi", "root_finder", "solve_shifted",
+    "kkt_residual", "phi", "root_finder",
 ]

@@ -203,9 +203,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("max_iters must be >= 1")
     for name, params in cfg.problems.items():
         try:
-            cfg.built_problem(params)
+            obj, _ = cfg.built_problem(params)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"problem.{name}: {err}") from None
+        if cfg.batch_size is not None and 0 < obj.num_samples < cfg.batch_size:
+            raise ConfigError(f"problem.{name}: [run] batch_size = {cfg.batch_size} "
+                              f"exceeds its {obj.num_samples} samples")
     for name, params in cfg.optimizers.items():
         try:
             _checked_kind(params, _OPTIMIZER_KEYS)
@@ -295,47 +298,28 @@ class SummaryRow:
     success_rate: float
 
 
-def _final_loss(rows: list) -> float:
-    """Loss at the final iterate, as recoverable from the CSV columns."""
-    if not rows:
+def _final_loss(records: list) -> float:
+    """Loss at the final iterate, as the trajectory CSV records it."""
+    if not records:
         return float("nan")
-    last = rows[-1]
-    return last["loss_after"] if last["accepted"] else last["loss_before"]
+    last = records[-1]
+    return last.loss_after if last.accepted else last.loss_before
 
 
 def summarize_cells(cells: dict, max_iters: int) -> list:
-    """cells: (problem, optimizer) -> list of row-dict lists, one per seed."""
+    """cells: (problem, optimizer) -> list of StepRecord lists, one per seed."""
     out = []
     for (prob, opt), runs in cells.items():
-        finals = np.array([_final_loss(rows) for rows in runs])
+        finals = np.array([_final_loss(records) for records in runs])
         # empty trajectories mark failed runs; a run that stops before the
         # budget did so at the gradient threshold (or a stationary model)
-        successes = np.array([0 < len(rows) < max_iters for rows in runs])
-        iters = np.array([len(rows) for rows in runs], dtype=float)
+        successes = np.array([0 < len(records) < max_iters for records in runs])
+        iters = np.array([len(records) for records in runs], dtype=float)
         mean_iters = float(iters[successes].mean()) if successes.any() else float("nan")
         out.append(SummaryRow(prob, opt, float(finals.mean()),
                               float(finals.std()), mean_iters,
                               float(successes.mean())))
     return out
-
-
-def _records_as_rows(records: list) -> list:
-    return [{"loss_before": r.loss_before, "loss_after": r.loss_after,
-             "accepted": r.accepted} for r in records]
-
-
-def read_trajectory_csv(path: str) -> list:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TRAJECTORY_HEADER:
-            raise ConfigError(f"{path}: unexpected trajectory header")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            rows.append({"loss_before": float(parts[1]),
-                         "loss_after": float(parts[2]),
-                         "accepted": parts[10] == "True"})
-    return rows
 
 
 def write_summary_csv(path: str, rows: list) -> None:
@@ -369,25 +353,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple:
                 path = os.path.join(out_dir, f"{prob_name}__{opt_name}__seed{seed}.csv")
                 write_trajectory_csv(path, records)
                 paths.append(path)
-                runs.append(_records_as_rows(records))
+                runs.append(records)
             cells[(prob_name, opt_name)] = runs
     summary = summarize_cells(cells, cfg.max_iters)
     summary_path = os.path.join(out_dir, "summary.csv")
     write_summary_csv(summary_path, summary)
     return paths, summary_path
-
-
-def recompute_summary(out_dir: str, cfg: ExperimentConfig) -> list:
-    """Rebuild summary rows from the emitted trajectory CSVs."""
-    cells = {}
-    for prob_name in cfg.problems:
-        for opt_name in cfg.optimizers:
-            runs = []
-            for seed in cfg.seeds:
-                path = os.path.join(out_dir, f"{prob_name}__{opt_name}__seed{seed}.csv")
-                runs.append(read_trajectory_csv(path))
-            cells[(prob_name, opt_name)] = runs
-    return summarize_cells(cells, cfg.max_iters)
 
 
 # ---------------------------------------------------------------------------

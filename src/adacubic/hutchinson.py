@@ -20,11 +20,6 @@ def _rademacher_probes(rng: np.random.Generator, S: int, d: int) -> np.ndarray:
     return rng.integers(0, 2, size=(S, d)).astype(float) * 2.0 - 1.0
 
 
-def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
-    """i.i.d. +-1 entries drawn from ``rng``; deterministic given its seed."""
-    return _rademacher_probes(rng, 1, d)[0]
-
-
 def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int, S: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Average of H(v) * v over S Rademacher probes.

@@ -57,25 +57,6 @@ def draw_batch(rng: np.random.Generator, num_samples: int, batch_size: int) -> n
     return np.sort(rng.choice(num_samples, size=batch_size, replace=False))
 
 
-def finite_difference_hvp(obj: Objective, x: np.ndarray, v: np.ndarray,
-                          h: float | None = None, batch: Batch = None) -> np.ndarray:
-    """Central-difference Hessian-vector product, O(h^2) accurate.
-
-    Fallback for objectives without an analytic ``hvp_fn``.  The default
-    step is sqrt(eps)*(1 + ||x||).
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if h is None:
-        h = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(x))
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    out = (obj.grad(x + h * v, batch) - obj.grad(x - h * v, batch)) / (2.0 * h)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite finite-difference HVP; bad h or objective overflow")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Built-in problems
 # ---------------------------------------------------------------------------

@@ -72,11 +72,6 @@ def _dphi(shift: np.ndarray, s: np.ndarray, ns: float, r: float) -> float:
     return float(0.5 * r * (s * s / shift).sum() / ns ** 3)
 
 
-def solve_shifted(b: np.ndarray, g: np.ndarray, nu: float, r: float) -> np.ndarray:
-    """s = -(Diag(b) + (nu r / 2) I)^{-1} g, coordinate-wise."""
-    return _shifted_solve(b, g, nu, r)[1]
-
-
 def phi(b: np.ndarray, g: np.ndarray, nu: float, r: float, xi: float) -> float:
     """Secular residual 1/||s(nu, r)|| - 1/xi^(1/3); zero iff ||s|| hits the radius."""
     ns = _shifted_solve(b, g, nu, r)[2]

@@ -1,0 +1,19 @@
+"""Fixtures shared by more than one test module."""
+
+import time
+
+import pytest
+
+from adacubic import root_finder
+
+from test_subproblem import CFG, _kkt_instances
+
+
+@pytest.fixture(scope="session")
+def kkt_solved():
+    """The 500 seed-12345 kkt instances, drawn and solved once for the
+    acceptance criteria 1, 3 and 5, the solver tests and the golden pin:
+    [(b, g, xi, solution)] and the seconds that took."""
+    start = time.perf_counter()
+    solved = [(b, g, xi, root_finder(b, g, xi, CFG)) for b, g, xi in _kkt_instances()]
+    return solved, time.perf_counter() - start

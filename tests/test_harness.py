@@ -9,8 +9,7 @@ import pytest
 from adacubic import cli, harness
 from adacubic.harness import (ConfigError, SUMMARY_HEADER, TRAJECTORY_HEADER,
                               build_problem, load_config, parse_config_text,
-                              measure_subsample_deviation, recompute_summary,
-                              run_experiment)
+                              measure_subsample_deviation, run_experiment)
 from adacubic.problems import make_synthetic_logistic
 
 BASIC = """
@@ -233,29 +232,43 @@ def test_experiment_determinism(tmp_path):
             assert fa.read() == fb.read(), name
 
 
+def _summary_from_csvs(out_dir, cfg, problem, optimizer):
+    """A summary row's four values, recomputed from its trajectory CSVs: the
+    final loss is the last row's loss_after if accepted, else loss_before."""
+    finals, lengths = [], []
+    for seed in cfg.seeds:
+        with open(os.path.join(out_dir, f"{problem}__{optimizer}__seed{seed}.csv")) as fh:
+            rows = [line.rstrip("\n").split(",") for line in fh][1:]
+        lengths.append(len(rows))
+        last = rows[-1] if rows else None
+        finals.append(float("nan") if last is None
+                      else float(last[2] if last[10] == "True" else last[1]))
+    done = [n for n in lengths if 0 < n < cfg.max_iters]
+    return [np.mean(finals), np.std(finals),
+            np.mean(done) if done else float("nan"), len(done) / len(lengths)]
+
+
 def test_summary_recompute_matches(tmp_path):
     cfg = parse_config_text(BASIC)
-    _, summary_path = run_experiment(cfg, str(tmp_path / "out"))
-    rows = {}
+    out_dir = str(tmp_path / "out")
+    _, summary_path = run_experiment(cfg, out_dir)
     with open(summary_path) as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            rows[(parts[0], parts[1])] = [float(v) for v in parts[2:]]
-    for row in recompute_summary(str(tmp_path / "out"), cfg):
-        emitted = rows[(row.problem, row.optimizer)]
-        recomputed = [row.mean_final_loss, row.std_final_loss,
-                      row.mean_iters_to_threshold, row.success_rate]
-        np.testing.assert_allclose(recomputed, emitted, rtol=1e-12)
+        lines = fh.read().splitlines()[1:]
+    assert len(lines) == len(cfg.problems) * len(cfg.optimizers)
+    for line in lines:
+        problem, optimizer, *emitted = line.split(",")
+        np.testing.assert_allclose(_summary_from_csvs(out_dir, cfg, problem, optimizer),
+                                   [float(v) for v in emitted], rtol=1e-12)
 
 
-def test_failed_run_counts_as_unsuccessful(tmp_path):
-    # batch_size larger than the dataset makes every draw fail
-    cfg = parse_config_text("""
+BIG_BATCH = """
 [run]
 seeds = 0
 max_iters = 10
 batch_size = 999
+
+[problem.quad]
+kind = quadratic
 
 [problem.log]
 kind = logistic
@@ -264,12 +277,20 @@ dim = 2
 
 [optimizer.ac]
 kind = adacubic
-""")
-    _, summary_path = run_experiment(cfg, str(tmp_path / "out"))
-    with open(summary_path) as fh:
-        fh.readline()
-        parts = fh.readline().split(",")
-    assert float(parts[-1]) == 0.0  # success_rate
+"""
+
+
+def test_batch_size_larger_than_a_dataset_is_a_config_error(tmp_path, capsys):
+    # every run of the cell would fail at its first batch draw
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(BIG_BATCH)
+    assert "problem.log: [run] batch_size = 999" in str(err.value)
+    assert cli.main(["run", "--config", _write_config(tmp_path, BIG_BATCH),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "batch_size" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+    # a deterministic problem ignores batch_size; the whole dataset is a batch
+    parse_config_text(BIG_BATCH.replace("n = 20", "n = 999"))
 
 
 def test_diverged_baseline_run_is_empty_and_unsuccessful(tmp_path):

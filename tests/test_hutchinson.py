@@ -3,26 +3,26 @@
 import numpy as np
 import pytest
 
-from adacubic import (exhaustive_diag, hutchinson_diag, make_saddle,
-                      rademacher_vector)
+from adacubic import exhaustive_diag, hutchinson_diag, make_saddle
+from adacubic.hutchinson import _rademacher_probes
 
 
 def test_rademacher_entries_and_determinism():
-    v = rademacher_vector(np.random.default_rng(42), 8)
-    assert v.shape == (8,)
-    np.testing.assert_array_equal(np.abs(v), np.ones(8))
-    again = rademacher_vector(np.random.default_rng(42), 8)
+    v = _rademacher_probes(np.random.default_rng(42), 3, 8)
+    assert v.shape == (3, 8)
+    np.testing.assert_array_equal(np.abs(v), np.ones((3, 8)))
+    again = _rademacher_probes(np.random.default_rng(42), 3, 8)
     np.testing.assert_array_equal(v, again)
 
 
 def test_rademacher_rejects_empty():
     with pytest.raises(ValueError):
-        rademacher_vector(np.random.default_rng(0), 0)
+        _rademacher_probes(np.random.default_rng(0), 1, 0)
 
 
 def test_rademacher_mean_concentrates():
     rng = np.random.default_rng(123)
-    draws = np.array([rademacher_vector(rng, 4)[0] for _ in range(10000)])
+    draws = _rademacher_probes(rng, 10000, 4)[:, 0]
     assert abs(draws.mean()) < 0.05
 
 
@@ -102,7 +102,7 @@ def _reference_diag(hvp, d, S, rng):
     as S separate draws of d entries."""
     acc = np.zeros(d)
     for _ in range(S):
-        v = rademacher_vector(rng, d)
+        v = _rademacher_probes(rng, 1, d)[0]
         acc += np.asarray(hvp(v), dtype=float) * v
     return acc / S
 

@@ -1,6 +1,7 @@
 """Secular-equation calculus, the safeguarded Newton root finder, and the
-hard-case branch, checked against closed forms, the brute-force oracle and
-the two-loop root finder it replaced."""
+hard-case branch, checked against closed forms and the brute-force oracle.
+The KKT conditions on the 500 seeded instances are acceptance criterion 1;
+tests/golden.json pins every solution of those and of the scaled instances."""
 
 import dataclasses
 
@@ -8,35 +9,36 @@ import numpy as np
 import pytest
 
 from adacubic import (AdaCubicConfig, ShiftNotPositiveDefiniteError,
-                      SolverStallError, SubproblemSolution, SubproblemStatus,
+                      SolverStallError, SubproblemStatus,
                       brute_force_subproblem_min, dphi_dnu, hard_case_step,
-                      kkt_residual, phi, root_finder, solve_shifted)
+                      kkt_residual, phi, root_finder)
+from adacubic.subproblem import _shifted_solve
 from adacubic.verify import random_instance
 
 CFG = AdaCubicConfig()
 
 
 # ---------------------------------------------------------------------------
-# solve_shifted / phi / dphi_dnu closed forms
+# the shifted solve / phi / dphi_dnu closed forms
 # ---------------------------------------------------------------------------
 
-def test_solve_shifted_one_dimensional():
+def test_shifted_solve_one_dimensional():
     # (1 + 2*1/2) s = -2  ->  s = -1
-    s = solve_shifted(np.array([1.0]), np.array([2.0]), 2.0, 1.0)
+    s = _shifted_solve(np.array([1.0]), np.array([2.0]), 2.0, 1.0)[1]
     assert s[0] == pytest.approx(-1.0)
 
 
-def test_solve_shifted_zero_gradient():
-    s = solve_shifted(np.array([1.0, 2.0]), np.zeros(2), 0.5, 1.0)
+def test_shifted_solve_zero_gradient():
+    s = _shifted_solve(np.array([1.0, 2.0]), np.zeros(2), 0.5, 1.0)[1]
     np.testing.assert_array_equal(s, np.zeros(2))
 
 
-def test_solve_shifted_newton_step():
-    s = solve_shifted(np.array([2.0, 4.0]), np.array([2.0, 4.0]), 0.0, 1.0)
+def test_shifted_solve_newton_step():
+    s = _shifted_solve(np.array([2.0, 4.0]), np.array([2.0, 4.0]), 0.0, 1.0)[1]
     np.testing.assert_allclose(s, [-1.0, -1.0])
 
 
-def test_solve_shifted_residual_identity():
+def test_shifted_solve_residual_identity():
     rng = np.random.default_rng(17)
     for _ in range(50):
         d = int(rng.integers(1, 8))
@@ -44,13 +46,13 @@ def test_solve_shifted_residual_identity():
         g = rng.uniform(-1.0, 1.0, size=d)
         r = float(rng.uniform(0.1, 2.0))
         nu = float(2.0 * max(0.0, -b.min()) / r + rng.uniform(0.1, 2.0))
-        s = solve_shifted(b, g, nu, r)
+        s = _shifted_solve(b, g, nu, r)[1]
         np.testing.assert_allclose((b + 0.5 * nu * r) * s, -g, atol=1e-12)
 
 
-def test_solve_shifted_requires_positive_shift():
+def test_shifted_solve_requires_positive_shift():
     with pytest.raises(ShiftNotPositiveDefiniteError):
-        solve_shifted(np.array([-1.0, 2.0]), np.ones(2), 0.0, 1.0)
+        _shifted_solve(np.array([-1.0, 2.0]), np.ones(2), 0.0, 1.0)
 
 
 def test_phi_values():
@@ -235,28 +237,6 @@ def test_newton_iterates_monotone_from_negative_side():
             nu = nxt
 
 
-def test_kkt_conditions_on_random_instances():
-    rng = np.random.default_rng(12345)
-    for _ in range(200):
-        d = int(rng.integers(1, 11))
-        b = rng.uniform(-2.0, 2.0, size=d)
-        g = rng.uniform(-1.0, 1.0, size=d)
-        xi = float(10.0 ** rng.uniform(-4, 1))
-        sol = root_finder(b, g, xi, CFG)
-        res = kkt_residual(b, g, sol, xi)
-        gn = float(np.linalg.norm(g))
-        assert sol.nu >= 0.0
-        assert res.stationarity <= 1e-6 * (1.0 + gn)
-        assert res.min_shifted_curvature >= -1e-10
-        assert sol.nu == 0.0 or abs(res.slackness) <= 4.0 * CFG.kappa_easy * xi * sol.nu
-        if sol.status is not SubproblemStatus.INTERIOR:
-            r = xi ** (1.0 / 3.0)
-            assert abs(np.linalg.norm(sol.s) - r) <= CFG.kappa_easy * r
-        # predicted decrease dominates the nu-cubed margin
-        ns = float(np.linalg.norm(sol.s))
-        assert sol.model_decrease >= sol.nu / 12.0 * ns ** 3 - 1e-10
-
-
 def test_matches_brute_force_on_low_dimensions():
     rng = np.random.default_rng(777)
     for _ in range(25):
@@ -271,121 +251,8 @@ def test_matches_brute_force_on_low_dimensions():
 
 
 # ---------------------------------------------------------------------------
-# the two-loop root finder that the single loop replaced
+# the stall path and the Newton budget
 # ---------------------------------------------------------------------------
-
-def _ref_solve_shifted(b, g, nu, r):
-    shift = b + 0.5 * nu * r
-    if np.any(shift <= 0.0):
-        raise ShiftNotPositiveDefiniteError("shift not positive definite")
-    return -g / shift
-
-
-def _ref_phi(b, g, nu, r, xi):
-    return 1.0 / float(np.linalg.norm(_ref_solve_shifted(b, g, nu, r))) \
-        - 1.0 / xi ** (1.0 / 3.0)
-
-
-def _ref_dphi_dnu(b, g, nu, r):
-    shift = b + 0.5 * nu * r
-    s = -g / shift
-    ns = float(np.linalg.norm(s))
-    return float(0.5 * r * np.sum(s * s / shift) / ns ** 3)
-
-
-def _ref_model_decrease(b, g, s, nu):
-    ns = float(np.linalg.norm(s))
-    return float(-(g @ s + 0.5 * s @ (b * s) + nu / 6.0 * ns ** 3))
-
-
-def _reference_root_finder(b, g, xi, cfg):
-    """root_finder as it was before its loops were merged: a bracketed
-    Newton loop, then a grow-and-bisect fallback of 10 x max_newton_iters
-    passes, each pass solving the shifted system twice."""
-    r = xi ** (1.0 / 3.0)
-    lam = float(b.min())
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == 0.0:
-        if lam >= 0.0:
-            return SubproblemSolution(np.zeros_like(b), 0.0,
-                                      SubproblemStatus.INTERIOR, 0, 0, 0.0)
-        nu = -2.0 * (lam - max(1e-8, 1e-8 * abs(lam))) / r
-        s, _ = hard_case_step(b, g, np.zeros_like(b), xi)
-        return SubproblemSolution(s, nu, SubproblemStatus.HARD_CASE, 0, 0,
-                                  _ref_model_decrease(b, g, s, nu))
-
-    nu = 0.0 if lam > 0.0 else -2.0 * (lam - max(1e-8, 1e-8 * abs(lam))) / r
-    s = _ref_solve_shifted(b, g, nu, r)
-    ns = float(np.linalg.norm(s))
-    if ns ** 3 <= xi:
-        if abs(ns ** 3 - xi) <= 1e-12 * max(1.0, xi):
-            return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, 0, 0,
-                                      _ref_model_decrease(b, g, s, nu))
-        if lam >= 0.0:
-            return SubproblemSolution(s, 0.0, SubproblemStatus.INTERIOR, 0, 0,
-                                      _ref_model_decrease(b, g, s, 0.0))
-        s, _ = hard_case_step(b, g, s, xi)
-        return SubproblemSolution(s, nu, SubproblemStatus.HARD_CASE, 0, 0,
-                                  _ref_model_decrease(b, g, s, nu))
-
-    tol_abs = cfg.kkt_tol * (1.0 + gnorm)
-    nu_lo, nu_hi = nu, np.inf
-    iters = 0
-    iters_to_band = -1
-
-    def converged(ns_cur, nu_cur, s_cur):
-        band = abs(ns_cur - r) <= cfg.kappa_easy * r
-        resid = 0.5 * nu_cur * abs(ns_cur - r) * float(np.max(np.abs(s_cur)))
-        return band and resid <= tol_abs
-
-    def solution():
-        return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
-                                  max(iters_to_band, 0),
-                                  _ref_model_decrease(b, g, s, nu))
-
-    while iters < cfg.max_newton_iters:
-        if iters_to_band < 0 and abs(ns - r) <= cfg.kappa_easy * r:
-            iters_to_band = iters
-        if converged(ns, nu, s):
-            return solution()
-        phi_val = 1.0 / ns - 1.0 / r
-        if phi_val < 0.0:
-            nu_lo = max(nu_lo, nu)
-        else:
-            nu_hi = min(nu_hi, nu)
-        proposal = nu - phi_val / _ref_dphi_dnu(b, g, nu, r)
-        if not (nu_lo < proposal < nu_hi):
-            proposal = 0.5 * (nu_lo + nu_hi) if np.isfinite(nu_hi) else 2.0 * max(nu, 1.0)
-        nu = proposal
-        s = _ref_solve_shifted(b, g, nu, r)
-        ns = float(np.linalg.norm(s))
-        iters += 1
-
-    hi = nu_hi if np.isfinite(nu_hi) else max(nu_lo, 1.0)
-    grow = 0
-    while not np.isfinite(nu_hi):
-        hi *= 2.0
-        if _ref_phi(b, g, hi, r, xi) > 0.0:
-            nu_hi = hi
-        grow += 1
-        if grow > 200:
-            break
-    lo = nu_lo
-    for _ in range(10 * cfg.max_newton_iters):
-        if not np.isfinite(nu_hi):
-            break
-        nu = 0.5 * (lo + nu_hi)
-        s = _ref_solve_shifted(b, g, nu, r)
-        ns = float(np.linalg.norm(s))
-        iters += 1
-        if converged(ns, nu, s):
-            return solution()
-        if 1.0 / ns - 1.0 / r < 0.0:
-            lo = nu
-        else:
-            nu_hi = nu
-    raise SolverStallError("reference stalled", solution())
-
 
 def _scaled_instances(n, seed=2024):
     """Seeded kkt-style instances with b and xi each scaled by 10^U(-6, 6)
@@ -413,18 +280,6 @@ def _outcome(solver, b, g, xi):
             sol.newton_iters, sol.newton_iters_to_band, sol.model_decrease)
 
 
-def test_single_loop_matches_the_two_loop_solver_bit_for_bit():
-    instances = _kkt_instances() + list(_scaled_instances(400))
-    outcomes = [(_outcome(root_finder, b, g, xi),
-                 _outcome(_reference_root_finder, b, g, xi))
-                for b, g, xi in instances]
-    stalls = [got == "stall" for got, _ in outcomes]
-    # the scaled family exercises the stall path; the kkt instances never stall
-    assert not any(stalls[:500]) and any(stalls[500:])
-    for got, want in outcomes:
-        assert got == want
-
-
 def test_stall_raises_with_the_last_finite_iterate_after_the_budget():
     b, g, xi = next((b, g, xi) for b, g, xi in _scaled_instances(400)
                     if _outcome(root_finder, b, g, xi) == "stall")
@@ -436,10 +291,8 @@ def test_stall_raises_with_the_last_finite_iterate_after_the_budget():
     assert np.all(np.isfinite(best.s)) and np.isfinite(best.nu)
 
 
-def test_max_newton_iters_bounds_the_passes():
-    b, g, xi, sol = next((b, g, xi, sol) for b, g, xi in _kkt_instances()
-                         for sol in [root_finder(b, g, xi, CFG)]
-                         if sol.newton_iters > 2)
+def test_max_newton_iters_bounds_the_passes(kkt_solved):
+    b, g, xi, sol = next(item for item in kkt_solved[0] if item[3].newton_iters > 2)
     with pytest.raises(SolverStallError) as info:
         root_finder(b, g, xi, dataclasses.replace(CFG, max_newton_iters=2))
     assert info.value.best.newton_iters == 2
