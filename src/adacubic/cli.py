@@ -61,6 +61,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_deviation(args) -> int:
+    for flag, value in (("--trials", args.trials), ("--samples", args.samples)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be an integer >= 1, got {value}")
     cfg = harness.load_config(args.config)
     for name, params in cfg.problems.items():
         obj, x0 = cfg.built_problem(params)
@@ -68,7 +71,11 @@ def _cmd_deviation(args) -> int:
             break
     else:
         raise ConfigError("deviation needs at least one stochastic problem")
-    batch_size = args.batch_size or max(1, obj.num_samples // 8)
+    batch_size = (max(1, obj.num_samples // 8) if args.batch_size is None
+                  else args.batch_size)
+    if not 1 <= batch_size <= obj.num_samples:
+        raise ConfigError(f"--batch-size must be between 1 and the {obj.num_samples} "
+                          f"samples of problem.{name}, got {batch_size}")
     res = harness.measure_subsample_deviation(obj, x0, batch_size, args.trials,
                                               args.samples)
     print(f"problem={name} n={obj.num_samples} batch={batch_size} "

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AdaCubicConfig, IterationClass, update_xi
-from .hutchinson import hutchinson_diag
+from .hutchinson import hutchinson_diag, rademacher_rows
 from .problems import Objective, draw_batch
 from .subproblem import SubproblemStatus, root_finder
 
@@ -64,10 +64,10 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     for k in range(max_iters):
         if g_full is None:
             g_full = obj.grad(x)
-        # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm
-        grad_norm = math.sqrt(g_full @ g_full)
-        if not math.isfinite(grad_norm):
-            raise FloatingPointError(f"non-finite gradient norm at iteration {k}")
+            # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm
+            grad_norm = math.sqrt(g_full @ g_full)
+            if not math.isfinite(grad_norm):
+                raise FloatingPointError(f"non-finite gradient norm at iteration {k}")
         if grad_norm <= stop_grad_norm and (curvature_ok is None or curvature_ok(x)):
             break
         if full_batch:
@@ -90,7 +90,8 @@ def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
     """One iteration: estimate curvature, solve the subproblem, accept or reject.
 
     Loss, gradient, curvature probes, and the post-step loss are all
-    evaluated on ``batch`` (the full objective when it is None).
+    evaluated on ``batch`` (the full objective when it is None), the probes
+    drawn from ``rng`` as :func:`hutchinson_diag` draws them.
     ``current`` is the ``(loss, gradient)`` at x on that batch when the
     caller already has it; ``iteration`` numbers the record.  A degenerate
     step (no predicted decrease) evaluates no post-step loss: its record
@@ -104,9 +105,10 @@ def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
                         cfg.hutchinson_samples, rng)
     sol = root_finder(b, g, xi, cfg)
     s = sol.s
-    step_norm = math.sqrt(s @ s)
+    step_norm = math.sqrt(s.dot(s))
+    x_new = x + s
     if sol.model_decrease > 0.0 and math.isfinite(sol.model_decrease):
-        loss_after = obj.eval(x + s, batch)
+        loss_after = obj.eval(x_new, batch)
         ratio = rho(loss_before, loss_after, sol.model_decrease)
         status, new_xi = update_xi(xi, ratio, step_norm ** 3, cfg)
     else:  # degenerate: the model predicts no decrease
@@ -115,7 +117,7 @@ def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
     accepted = status is not IterationClass.UNSUCCESSFUL
     rec = StepRecord(iteration, loss_before, loss_after, math.sqrt(g @ g), ratio,
                      sol.nu, xi, step_norm, status, sol.status, accepted)
-    return (x + s if accepted else x.copy()), new_xi, rec
+    return (x_new if accepted else x.copy()), new_xi, rec
 
 
 def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
@@ -133,15 +135,18 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
     """
     rng = np.random.default_rng(seed)
     xi = float(cfg.xi0)
+    # a full-batch run draws only probes from rng, so it can draw them ahead
+    full_batch = batch_size is None or obj.num_samples == 0
+    probes = rademacher_rows(rng, obj.dim) if full_batch else rng
 
     def curvature_ok(x: np.ndarray) -> bool:
         b = hutchinson_diag(lambda v: obj.hvp(x, v), obj.dim,
-                            cfg.hutchinson_samples, rng)
+                            cfg.hutchinson_samples, probes)
         return float(b.min()) >= 0.0
 
     def step(k, x, batch, loss, g):
         nonlocal xi
-        x, xi, rec = adacubic_step(obj, x, xi, cfg, rng, batch, (loss, g), k)
+        x, xi, rec = adacubic_step(obj, x, xi, cfg, probes, batch, (loss, g), k)
         return x, rec
 
     return _iterate(obj, x0, max_iters, batch_size, stop_grad_norm, rng, step,
@@ -191,7 +196,7 @@ def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
         s = x_new - x
         return x_new, StepRecord(
             k, loss, obj.eval(x_new, batch), math.sqrt(g @ g),
-            float("nan"), float("nan"), float("nan"), math.sqrt(s @ s),
+            float("nan"), float("nan"), float("nan"), math.sqrt(s.dot(s)),
             IterationClass.SUCCESSFUL, SubproblemStatus.INTERIOR, True)
 
     return _iterate(obj, x0, max_iters, batch_size, stop_grad_norm,

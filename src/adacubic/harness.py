@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .config import AdaCubicConfig
-from .driver import StepRecord, Trajectory, run, run_baseline
+from .driver import Trajectory, run, run_baseline
 from .hutchinson import hutchinson_diag
 from .problems import (Objective, draw_batch, load_logistic_csv, make_quadratic,
                        make_rosenbrock, make_saddle, make_synthetic_logistic)
@@ -266,26 +266,17 @@ def run_one(problem_params: dict, optimizer_params: dict, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization (17 significant digits: lossless float64 round-trip)
+# CSV serialization (%.17g, 17 significant digits: lossless float64 round-trip)
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def record_to_row(rec: StepRecord) -> str:
-    return ",".join([
-        str(rec.iteration), _fmt(rec.loss_before), _fmt(rec.loss_after),
-        _fmt(rec.grad_norm), _fmt(rec.rho), _fmt(rec.nu), _fmt(rec.xi),
-        _fmt(rec.step_norm), rec.status.value, rec.subproblem_status.value,
-        str(rec.accepted)])
-
 
 def write_trajectory_csv(path: str, records: list) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for rec in records:
-            fh.write(record_to_row(rec) + "\n")
+        for r in records:  # row by row: the file is never held in memory
+            fh.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s\n" % (
+                r.iteration, r.loss_before, r.loss_after, r.grad_norm, r.rho, r.nu,
+                r.xi, r.step_norm, r.status.value, r.subproblem_status.value,
+                r.accepted))
 
 
 @dataclass(frozen=True)
@@ -326,10 +317,9 @@ def write_summary_csv(path: str, rows: list) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for r in rows:
-            fh.write(",".join([r.problem, r.optimizer, _fmt(r.mean_final_loss),
-                               _fmt(r.std_final_loss),
-                               _fmt(r.mean_iters_to_threshold),
-                               _fmt(r.success_rate)]) + "\n")
+            fh.write("%s,%s,%.17g,%.17g,%.17g,%.17g\n" % (
+                r.problem, r.optimizer, r.mean_final_loss, r.std_final_loss,
+                r.mean_iters_to_threshold, r.success_rate))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Callable
+import math
+from itertools import islice, product
+from typing import Callable, Iterator
 
 import numpy as np
+
+BLOCK_BYTES = 1 << 16  # the most bytes of probes that rademacher_rows draws at once
 
 
 def _rademacher_probes(rng: np.random.Generator, S: int, d: int) -> np.ndarray:
@@ -20,22 +23,35 @@ def _rademacher_probes(rng: np.random.Generator, S: int, d: int) -> np.ndarray:
     return rng.integers(0, 2, size=(S, d)).astype(float) * 2.0 - 1.0
 
 
+def rademacher_rows(rng: np.random.Generator, d: int) -> Iterator[np.ndarray]:
+    """The probe rows that successive :func:`hutchinson_diag` calls would draw
+    from ``rng``, in order, drawn ahead in blocks of at most BLOCK_BYTES (or
+    one row); as ``rng`` runs ahead of them, draw nothing else from it."""
+    rows = max(1, BLOCK_BYTES // (8 * max(d, 1)))  # the draw rejects d < 1
+    while True:
+        yield from _rademacher_probes(rng, rows, d)
+
+
 def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int, S: int,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: np.random.Generator | Iterator[np.ndarray]) -> np.ndarray:
     """Average of H(v) * v over S Rademacher probes.
 
     Unbiased for diag(H); exact for diagonal H at any S since v*v == 1.
-    Accumulation is sequential in s for bit-reproducibility.
+    Probes are drawn from ``rng``, or taken from it if it iterates probe rows
+    (:func:`rademacher_rows`); accumulation is sequential in s, for bit-reproducibility.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
-    acc = np.zeros(d)
-    for v in _rademacher_probes(rng, S, d):
+    probes = (_rademacher_probes(rng, S, d) if isinstance(rng, np.random.Generator)
+              else islice(rng, S))
+    acc = 0.0
+    for v in probes:
         hv = np.asarray(hvp(v), dtype=float)
-        if not np.isfinite(hv).all():
+        # hv.dot(hv) is finite iff every entry is, unless it overflows
+        if not math.isfinite(hv.dot(hv)) and not np.isfinite(hv).all():
             raise FloatingPointError("non-finite Hessian-vector product")
-        acc += hv * v
-    return acc / S
+        acc = acc + hv * v  # the first sum turns -0.0 into 0.0
+    return acc if S == 1 else acc / S  # a / 1 == a
 
 
 def exhaustive_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:

@@ -86,18 +86,21 @@ def make_rosenbrock(d: int) -> Objective:
     if d < 2:
         raise ValueError("rosenbrock needs d >= 2")
 
+    # np.add.reduce and np.zeros(shape) do the work of np.sum and
+    # np.zeros_like without their Python wrappers, costly at small d
     def f(x, b=None):
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        t, u = x[1:] - x[:-1] ** 2, 1.0 - x[:-1]
+        return float(np.add.reduce(100.0 * t ** 2 + u ** 2))
 
     def g(x, b=None):
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape)
         t = x[1:] - x[:-1] ** 2
         out[:-1] += -400.0 * x[:-1] * t - 2.0 * (1.0 - x[:-1])
         out[1:] += 200.0 * t
         return out
 
     def diag(x):
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape)
         sq = x[:-1] ** 2
         out[:-1] = 2.0 - 400.0 * (x[1:] - sq) + 800.0 * sq
         out[1:] += 200.0

@@ -54,22 +54,28 @@ class KktResidual:
     slackness: float
 
 
+def _solve(b, g, nu: float, r: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The shift b + nu r / 2, which must be positive, s = -g / shift and ||s||."""
+    shift = b + 0.5 * nu * r
+    s = -g / shift
+    # sqrt(v.dot(v)) is how np.linalg.norm computes a vector's 2-norm; on a
+    # contiguous v, as s is here, v.dot(v) == v @ v and costs less
+    return shift, s, math.sqrt(s.dot(s))
+
+
 def _shifted_solve(b: np.ndarray, g: np.ndarray, nu: float,
                    r: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The shift b + nu r / 2, s = -g / shift and ||s||, after checking that
-    every entry of the shift is positive."""
-    shift = b + 0.5 * nu * r
-    if shift.min() <= 0.0:
+    """:func:`_solve`, after checking that every entry of the shift is positive."""
+    least = np.minimum.reduce(b) + 0.5 * nu * r  # min(shift), as rounding is monotone
+    if least <= 0.0:
         raise ShiftNotPositiveDefiniteError(
-            f"shifted curvature not positive definite: min entry {shift.min():g}")
-    s = -g / shift
-    # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm
-    return shift, s, math.sqrt(s @ s)
+            f"shifted curvature not positive definite: min entry {least:g}")
+    return _solve(b, g, nu, r)
 
 
 def _dphi(shift: np.ndarray, s: np.ndarray, ns: float, r: float) -> float:
     """:func:`dphi_dnu` from an already computed shift, s and ||s||."""
-    return float(0.5 * r * (s * s / shift).sum() / ns ** 3)
+    return float(0.5 * r * np.add.reduce(s * s / shift) / ns ** 3)
 
 
 def phi(b: np.ndarray, g: np.ndarray, nu: float, r: float, xi: float) -> float:
@@ -117,8 +123,7 @@ def hard_case_step(b: np.ndarray, g: np.ndarray, s_reg: np.ndarray,
     return s, float(alpha)
 
 
-def _model_decrease(b, g, s, nu) -> float:
-    ns = math.sqrt(s @ s)
+def _model_decrease(b, g, s, nu, ns) -> float:
     return float(-(g @ s + 0.5 * s @ (b * s) + nu / 6.0 * ns ** 3))
 
 
@@ -147,36 +152,40 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
     g = np.asarray(g, dtype=float)
     if xi < cfg.eps_m:
         raise ValueError(f"xi={xi:g} below the floor eps_m={cfg.eps_m:g}")
-    if not (np.isfinite(b).all() and np.isfinite(g).all()):
+    lam = float(np.minimum.reduce(b))
+    gg = g @ g
+    # b is finite iff its extremes are; g iff g @ g is, unless that overflows
+    if not (math.isfinite(lam) and math.isfinite(np.maximum.reduce(b))
+            and (math.isfinite(gg) or np.isfinite(g).all())):
         raise ValueError("b and g must be finite")
 
     r = xi ** (1.0 / 3.0)
-    lam = float(b.min())
-    gnorm = math.sqrt(g @ g)
+    gnorm = math.sqrt(gg)
 
     if gnorm == 0.0:
         if lam >= 0.0:
-            zero = np.zeros_like(b)
-            return SubproblemSolution(zero, 0.0, SubproblemStatus.INTERIOR, 0, 0, 0.0)
+            return SubproblemSolution(np.zeros_like(b), 0.0, SubproblemStatus.INTERIOR,
+                                      0, 0, 0.0)
         nu = _nu_init(lam, r)
         s, _ = hard_case_step(b, g, np.zeros_like(b), xi)
         return SubproblemSolution(s, nu, SubproblemStatus.HARD_CASE, 0, 0,
-                                  _model_decrease(b, g, s, nu))
+                                  _model_decrease(b, g, s, nu, math.sqrt(s.dot(s))))
 
+    # shift > 0 at this nu (lam > 0 or _nu_init's margin) and at every later, no smaller nu
     nu = 0.0 if lam > 0.0 else _nu_init(lam, r)
-    shift, s, ns = _shifted_solve(b, g, nu, r)
+    shift, s, ns = _solve(b, g, nu, r)
 
     if ns ** 3 <= xi:
         on_boundary = abs(ns ** 3 - xi) <= 1e-12 * max(1.0, xi)
         if on_boundary:
             return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, 0, 0,
-                                      _model_decrease(b, g, s, nu))
+                                      _model_decrease(b, g, s, nu, ns))
         if lam >= 0.0:
             return SubproblemSolution(s, 0.0, SubproblemStatus.INTERIOR, 0, 0,
-                                      _model_decrease(b, g, s, 0.0))
+                                      _model_decrease(b, g, s, 0.0, ns))
         s, _ = hard_case_step(b, g, s, xi)
         return SubproblemSolution(s, nu, SubproblemStatus.HARD_CASE, 0, 0,
-                                  _model_decrease(b, g, s, nu))
+                                  _model_decrease(b, g, s, nu, math.sqrt(s.dot(s))))
 
     # ||s||^3 > xi: the constraint is active and phi(nu, r) < 0 here
     tol_abs = cfg.kkt_tol * (1.0 + gnorm)
@@ -188,9 +197,9 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
         if gap <= cfg.kappa_easy * r:
             if iters_to_band < 0:
                 iters_to_band = iters
-            if 0.5 * nu * gap * float(np.abs(s).max()) <= tol_abs:
+            if 0.5 * nu * gap * float(np.maximum.reduce(np.abs(s))) <= tol_abs:
                 return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
-                                          iters_to_band, _model_decrease(b, g, s, nu))
+                                          iters_to_band, _model_decrease(b, g, s, nu, ns))
         if iters == cfg.max_newton_iters:
             break
         phi_val = 1.0 / ns - 1.0 / r
@@ -202,11 +211,11 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
         if not (nu_lo < proposal < nu_hi):
             proposal = 0.5 * (nu_lo + nu_hi) if math.isfinite(nu_hi) else 2.0 * max(nu, 1.0)
         nu = proposal
-        shift, s, ns = _shifted_solve(b, g, nu, r)
+        shift, s, ns = _solve(b, g, nu, r)
         iters += 1
 
     best = SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
-                              max(iters_to_band, 0), _model_decrease(b, g, s, nu))
+                              max(iters_to_band, 0), _model_decrease(b, g, s, nu, ns))
     raise SolverStallError(
         f"dual Newton-bisection failed to converge after {iters} iterations", best)
 

@@ -6,6 +6,7 @@ import pytest
 
 from adacubic import root_finder
 
+from test_acceptance import run_criterion_6b
 from test_subproblem import CFG, _kkt_instances
 
 
@@ -17,3 +18,10 @@ def kkt_solved():
     start = time.perf_counter()
     solved = [(b, g, xi, root_finder(b, g, xi, CFG)) for b, g, xi in _kkt_instances()]
     return solved, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def criterion_6b():
+    """Criterion 6b's run, made once for its acceptance test and the golden
+    pin: the trajectory and the seconds it took."""
+    return run_criterion_6b()

@@ -123,12 +123,17 @@ def test_criterion_6a_quadratic():
 ROSENBROCK_BUDGET = 50_000
 
 
-def test_criterion_6b_rosenbrock():
-    obj = make_rosenbrock(2)
+def run_criterion_6b():
+    """Criterion 6b's run, seed 0: its trajectory and the seconds it took."""
     start = time.perf_counter()
-    traj = run(obj, np.array([-1.2, 1.0]), CFG, ROSENBROCK_BUDGET,
+    traj = run(make_rosenbrock(2), np.array([-1.2, 1.0]), CFG, ROSENBROCK_BUDGET,
                stop_grad_norm=1e-6)
-    elapsed = time.perf_counter() - start
+    return traj, time.perf_counter() - start
+
+
+def test_criterion_6b_rosenbrock(criterion_6b):
+    obj = make_rosenbrock(2)
+    traj, elapsed = criterion_6b
     iters = len(traj.records)
     gn = float(np.linalg.norm(obj.grad(traj.final_x)))
     dist = float(np.max(np.abs(traj.final_x - 1.0)))

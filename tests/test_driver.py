@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adacubic import (AdaCubicConfig, IterationClass, Objective,
-                      SubproblemStatus, adacubic_step, adam_step,
+                      SubproblemStatus, adacubic_step, adam_step, driver,
                       make_quadratic, make_rosenbrock, make_saddle,
                       make_synthetic_logistic, rho, run, run_baseline, sgd_step)
 
@@ -303,3 +303,23 @@ def test_baselines_take_each_gradient_once(batch_size):
             assert counts == {("grad", "full"): n, ("grad", "batch"): n,
                               ("eval", "batch"): 2 * n}
 
+
+
+def test_full_batch_run_calls_each_layer_once_per_iteration(monkeypatch):
+    # the benchmark's tracer wraps these driver globals to time each layer
+    counts = {"hutchinson_diag": 0, "root_finder": 0}
+
+    def counting(name):
+        fn = getattr(driver, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    plain = run(make_rosenbrock(2), np.array([-1.2, 1.0]), CFG, 60)
+    for name in counts:
+        monkeypatch.setattr(driver, name, counting(name))
+    traj = run(make_rosenbrock(2), np.array([-1.2, 1.0]), CFG, 60)
+    assert len(traj.records) == 60 and traj.records == plain.records
+    assert counts == {"hutchinson_diag": 60, "root_finder": 60}

@@ -6,9 +6,11 @@ The pinned grid runs, at 100 iterations each, six problems (quadratic PD,
 quadratic indefinite, the saddle from x0 = (0, 0), logistic n=200 d=5,
 Rosenbrock d=2 from (-1.2, 1) and Rosenbrock d=10) by four optimizers
 (AdaCubic S=1, AdaCubic S=4 with xi0 = 0.5, SGD, Adam) over seeds 0-2, at
-full batch and at batch size 32.  The solver part pins each solution's ``s``,
-``nu``, status and iteration counts (or "stall") on the 500 seed-12345 kkt
-instances and the 400 scaled instances of ``test_subproblem``.
+full batch and at batch size 32.  The pin also holds criterion 6b's run of
+43 474 iterations (``test_acceptance.run_criterion_6b``).  The solver part
+pins each solution's ``s``, ``nu``, status and iteration counts (or
+"stall") on the 500 seed-12345 kkt instances and the 400 scaled instances
+of ``test_subproblem``.
 
 On the numerical stack the file was written on (Python, numpy, BLAS name
 and version) every entry must match exactly: a CSV by its SHA-256, a
@@ -35,9 +37,11 @@ import tempfile
 import numpy as np
 import pytest
 
-from adacubic import IterationClass, SolverStallError, harness, root_finder
+from adacubic import (IterationClass, SolverStallError, harness, make_rosenbrock,
+                      root_finder)
 from adacubic.harness import parse_config_text, run_experiment
 
+from test_acceptance import run_criterion_6b
 from test_subproblem import CFG, _kkt_instances, _scaled_instances
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
@@ -150,6 +154,17 @@ def run_grid(out_dir: str) -> dict:
     return entries
 
 
+CRITERION_6B = "criterion6b/ros2__adacubic__seed0.csv"
+
+
+def criterion_6b_entry(traj, out_dir: str) -> dict:
+    """The entry of criterion 6b's run, whose CSV is written under ``out_dir``."""
+    path = os.path.join(out_dir, os.path.basename(CRITERION_6B))
+    harness.write_trajectory_csv(path, traj.records)
+    return {"sha256": _digest(path), "final_loss": make_rosenbrock(2).eval(traj.final_x),
+            "final_x": traj.final_x.tolist()}
+
+
 def solution_entry(sol) -> dict:
     return {"s": sol.s.tolist(), "nu": sol.nu, "status": sol.status.value,
             "newton_iters": sol.newton_iters,
@@ -169,9 +184,10 @@ def solver_entries(kkt_solutions: list) -> dict:
     return entries
 
 
-def pin(kkt_solutions: list) -> dict:
+def pin(kkt_solutions: list, criterion_6b) -> dict:
     with tempfile.TemporaryDirectory() as out_dir:
-        runs = run_grid(out_dir)
+        runs = {CRITERION_6B: criterion_6b_entry(criterion_6b, out_dir),
+                **run_grid(out_dir)}
     return {"regenerate": REGENERATE, "stack": stack(), "runs": runs,
             "solver": solver_entries(kkt_solutions)}
 
@@ -221,14 +237,14 @@ def dump(golden: dict) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
-# the pin's four parts, each checked on its own so a failure names its part
-PARTS = ("runs/full/", "runs/32/", "solver/kkt/", "solver/scaled/")
+# the pin's five parts, each checked on its own so a failure names its part
+PARTS = ("runs/full/", "runs/32/", "runs/criterion6b/", "solver/kkt/", "solver/scaled/")
 
 
 @pytest.fixture(scope="module")
-def fresh(kkt_solved):
+def fresh(kkt_solved, criterion_6b):
     """The pin as this checkout computes it, once per module."""
-    return pin([sol for *_, sol in kkt_solved[0]])
+    return pin([sol for *_, sol in kkt_solved[0]], criterion_6b[0])
 
 
 @pytest.mark.parametrize("part", PARTS)
@@ -333,5 +349,5 @@ def test_another_stack_fails_a_stall(bite):
 if __name__ == "__main__":
     solutions = [root_finder(b, g, xi, CFG) for b, g, xi in _kkt_instances()]
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump(pin(solutions)))
+        fh.write(dump(pin(solutions, run_criterion_6b()[0])))
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -401,3 +401,29 @@ kind = adacubic
 def test_cli_deviation_needs_stochastic_problem(tmp_path):
     cfg_path = _write_config(tmp_path)
     assert cli.main(["deviation", "--config", cfg_path, "--trials", "5"]) == 2
+
+
+DEVIATION_N20 = """
+[run]
+seeds = 0
+[problem.log]
+kind = logistic
+n = 20
+dim = 3
+[optimizer.ac]
+kind = adacubic
+"""
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--batch-size", "50"], "--batch-size"),   # more than the 20 samples
+    (["--batch-size", "-3"], "--batch-size"),
+    (["--batch-size", "0"], "--batch-size"),    # not "unset"
+    (["--trials", "0"], "--trials"),
+    (["--samples", "0"], "--samples"),
+])
+def test_cli_deviation_rejects_bad_flags(flags, named, tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, DEVIATION_N20)
+    assert cli.main(["deviation", "--config", cfg_path, "--trials", "5", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err

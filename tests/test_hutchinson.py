@@ -1,10 +1,13 @@
 """Rademacher probes and the diagonal curvature estimator."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from adacubic import exhaustive_diag, hutchinson_diag, make_saddle
-from adacubic.hutchinson import _rademacher_probes
+from adacubic import (exhaustive_diag, hutchinson, hutchinson_diag, make_rosenbrock,
+                      make_saddle)
+from adacubic.hutchinson import BLOCK_BYTES, _rademacher_probes, rademacher_rows
 
 
 def test_rademacher_entries_and_determinism():
@@ -53,6 +56,22 @@ def test_rejects_invalid_sample_count():
 def test_nonfinite_hvp_raises():
     with pytest.raises(FloatingPointError):
         hutchinson_diag(lambda v: v * np.inf, 2, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("block_drawn", [False, True])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("S, bad_probe", [(1, 0), (4, 0), (4, 2)])
+def test_nonfinite_hvp_from_any_probe_raises(S, bad_probe, bad, block_drawn):
+    calls = []
+
+    def hvp(v):
+        calls.append(v)
+        return v * (bad if len(calls) == bad_probe + 1 else 2.0)
+
+    rng = np.random.default_rng(0)
+    with pytest.raises(FloatingPointError):
+        hutchinson_diag(hvp, 3, S, rademacher_rows(rng, 3) if block_drawn else rng)
+    assert len(calls) == bad_probe + 1
 
 
 def test_exhaustive_two_by_two():
@@ -117,3 +136,52 @@ def test_probes_drawn_at_once_match_one_draw_per_probe(S, d):
     assert np.array_equal(est, _reference_diag(lambda v: H @ v, d, S, ref))
     # and both generators are left in the same state
     assert np.array_equal(ours.random(4), ref.random(4))
+
+
+def _rows_per_block(d):
+    return max(1, BLOCK_BYTES // (8 * d))
+
+
+@pytest.mark.parametrize("S", [1, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 1000])
+def test_block_drawn_rows_match_one_draw_per_call(d, S):
+    calls = -(-5 * _rows_per_block(d) // (2 * S))  # 2.5 blocks: two boundaries
+    rows = rademacher_rows(np.random.default_rng(d), d)
+    ref = np.random.default_rng(d)
+    want = np.concatenate([_rademacher_probes(ref, S, d) for _ in range(calls)])
+    assert np.array_equal(np.array(list(islice(rows, calls * S))), want)
+
+
+@pytest.mark.parametrize("S", [1, 4])
+@pytest.mark.parametrize("d", [3, 1000])
+def test_estimates_from_block_drawn_rows_match_one_draw_per_call(d, S):
+    # at d = 3 a block holds 2730 rows, so with S = 4 one call straddles two blocks
+    obj = make_rosenbrock(d)
+    x = np.random.default_rng(1).uniform(-1.5, 1.5, d)
+    rows, ref = rademacher_rows(np.random.default_rng(7), d), np.random.default_rng(7)
+    for _ in range(-(-3 * _rows_per_block(d) // (2 * S))):
+        got = hutchinson_diag(lambda v: obj.hvp(x, v), d, S, rows)
+        assert np.array_equal(got, hutchinson_diag(lambda v: obj.hvp(x, v), d, S, ref))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 1000, 10000])
+def test_a_block_of_rows_stays_under_its_byte_cap(d, monkeypatch):
+    shapes = []
+    draw = hutchinson._rademacher_probes
+
+    def recorded(rng, S, width):
+        shapes.append((S, width))
+        return draw(rng, S, width)
+
+    monkeypatch.setattr(hutchinson, "_rademacher_probes", recorded)
+    rows = rademacher_rows(np.random.default_rng(0), d)
+    next(rows)
+    [(n, width)] = shapes
+    assert width == d
+    # as many rows as fit under the cap; one when a row alone is larger
+    assert n * d * 8 <= BLOCK_BYTES < (n + 1) * d * 8 or (n == 1 and d * 8 > BLOCK_BYTES)
+
+
+def test_block_drawn_rows_reject_empty():
+    with pytest.raises(ValueError):
+        next(rademacher_rows(np.random.default_rng(0), 0))

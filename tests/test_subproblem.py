@@ -212,6 +212,25 @@ def test_root_finder_input_validation():
         root_finder(np.array([np.nan]), np.array([1.0]), 1.0, CFG)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200])  # 1e200: g @ g overflows too
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["b", "g"])
+def test_root_finder_rejects_non_finite_b_or_g(where, bad, scale):
+    b, g = np.array([scale, -2.0, 3.0]), np.array([scale, 1.0, -1.0])
+    (b if where == "b" else g)[1] = bad
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        root_finder(b, g, 1.0, CFG)
+
+
+@pytest.mark.parametrize("b, g", [([1e200, 2e200], [1e200, -1e200]),
+                                  ([-1e200, 2e200], [3e200, -1e200])])
+def test_root_finder_accepts_finite_b_and_g_whose_squares_overflow(b, g):
+    with np.errstate(over="ignore"):  # g @ g overflows
+        sol = root_finder(np.array(b), np.array(g), 1.0, CFG)
+    assert sol.status is SubproblemStatus.BOUNDARY
+    assert abs(np.linalg.norm(sol.s) - 1.0) <= CFG.kappa_easy
+
+
 def test_newton_iterates_monotone_from_negative_side():
     rng = np.random.default_rng(66)
     for _ in range(50):
