@@ -53,21 +53,17 @@ class ExperimentConfig:
     batch_size: int | None = None
     stop_grad_norm: float = 1e-6
     out: str = "results"
-    # id(params) -> (copy of params, objective, x0): each problem is built
-    # once, by validate_config or its first run, and rebuilt only when its
-    # params have changed since
+    # repr of the sorted params (scalars or lists of scalars) -> (objective,
+    # x0): built by validate_config or the first run that needs it
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def built_problem(self, params: dict) -> tuple[Objective, np.ndarray]:
-        """The (objective, x0) of a problem section, built once per params
-        and shared by every run of the section."""
-        entry = self._built.get(id(params))
-        if entry is None or entry[0] != params:
-            # a section's values are scalars or lists of scalars
-            copied = {k: list(v) if isinstance(v, list) else v for k, v in params.items()}
-            entry = (copied, *build_problem(params))
-            self._built[id(params)] = entry
-        return entry[1], entry[2]
+        """The (objective, x0) of a problem section, built once per distinct
+        params: identical sections share a build, changed params are rebuilt."""
+        key = repr(sorted(params.items()))
+        if key not in self._built:
+            self._built[key] = build_problem(params)
+        return self._built[key]
 
 
 def parse_value(raw: str):
@@ -279,53 +275,26 @@ def write_trajectory_csv(path: str, records: list) -> None:
                 r.accepted))
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    problem: str
-    optimizer: str
-    mean_final_loss: float
-    std_final_loss: float
-    mean_iters_to_threshold: float
-    success_rate: float
-
-
-def _final_loss(records: list) -> float:
-    """Loss at the final iterate, as the trajectory CSV records it."""
-    if not records:
-        return float("nan")
-    last = records[-1]
-    return last.loss_after if last.accepted else last.loss_before
-
-
-def summarize_cells(cells: dict, max_iters: int) -> list:
-    """cells: (problem, optimizer) -> list of StepRecord lists, one per seed."""
-    out = []
-    for (prob, opt), runs in cells.items():
-        finals = np.array([_final_loss(records) for records in runs])
-        # empty trajectories mark failed runs; a run that stops before the
-        # budget did so at the gradient threshold (or a stationary model)
-        successes = np.array([0 < len(records) < max_iters for records in runs])
-        iters = np.array([len(records) for records in runs], dtype=float)
-        mean_iters = float(iters[successes].mean()) if successes.any() else float("nan")
-        out.append(SummaryRow(prob, opt, float(finals.mean()),
-                              float(finals.std()), mean_iters,
-                              float(successes.mean())))
-    return out
-
-
-def write_summary_csv(path: str, rows: list) -> None:
+def write_summary_csv(path: str, cells: dict, max_iters: int) -> None:
+    """cells: (problem, optimizer) -> one (final loss, iterations) pair per seed."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        for r in rows:
+        for (prob, opt), runs in cells.items():
+            finals = np.array([final for final, _ in runs])
+            iters = np.array([n for _, n in runs], dtype=float)
+            # a failed run has no iterations; a run that stops before the
+            # budget did so at the gradient threshold (or a stationary model)
+            successes = (0 < iters) & (iters < max_iters)
+            mean_iters = float(iters[successes].mean()) if successes.any() else float("nan")
             fh.write("%s,%s,%.17g,%.17g,%.17g,%.17g\n" % (
-                r.problem, r.optimizer, r.mean_final_loss, r.std_final_loss,
-                r.mean_iters_to_threshold, r.success_rate))
+                prob, opt, finals.mean(), finals.std(), mean_iters, successes.mean()))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple:
     """Run the (problem x optimizer x seed) grid; write per-run trajectory CSVs
     plus a summary CSV.  A failed run counts as unsuccessful and the grid
-    continues.  Returns (trajectory paths, summary path).
+    continues.  Of a run's records only its final loss and their number are
+    kept.  Returns (trajectory paths, summary path).
     """
     out_dir = out_dir or cfg.out
     os.makedirs(out_dir, exist_ok=True)
@@ -333,21 +302,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple:
     paths = []
     for prob_name, prob_params in cfg.problems.items():
         for opt_name, opt_params in cfg.optimizers.items():
-            runs = []
+            runs = cells[(prob_name, opt_name)] = []
             for seed in cfg.seeds:
                 try:
-                    traj = run_one(prob_params, opt_params, seed, cfg)
-                    records = traj.records
+                    records = run_one(prob_params, opt_params, seed, cfg).records
                 except Exception:
-                    records = []  # counts as unsuccessful below
+                    records = []  # counts as unsuccessful in the summary
                 path = os.path.join(out_dir, f"{prob_name}__{opt_name}__seed{seed}.csv")
                 write_trajectory_csv(path, records)
                 paths.append(path)
-                runs.append(records)
-            cells[(prob_name, opt_name)] = runs
-    summary = summarize_cells(cells, cfg.max_iters)
+                # the loss at the final iterate, as the trajectory CSV records it
+                last = records[-1] if records else None
+                final = (float("nan") if last is None
+                         else last.loss_after if last.accepted else last.loss_before)
+                runs.append((final, len(records)))
     summary_path = os.path.join(out_dir, "summary.csv")
-    write_summary_csv(summary_path, summary)
+    write_summary_csv(summary_path, cells, cfg.max_iters)
     return paths, summary_path
 
 
@@ -366,6 +336,10 @@ def measure_subsample_deviation(obj: Objective, x: np.ndarray, batch_size: int,
     """
     if obj.num_samples == 0:
         raise ValueError("deviation measurement needs a stochastic objective")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= batch_size <= obj.num_samples:
+        raise ValueError(f"need 1 <= batch_size <= {obj.num_samples}, got {batch_size}")
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     g_full = obj.grad(x)

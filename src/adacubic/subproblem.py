@@ -160,24 +160,13 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
         raise ValueError("b and g must be finite")
 
     r = xi ** (1.0 / 3.0)
-    gnorm = math.sqrt(gg)
-
-    if gnorm == 0.0:
-        if lam >= 0.0:
-            return SubproblemSolution(np.zeros_like(b), 0.0, SubproblemStatus.INTERIOR,
-                                      0, 0, 0.0)
-        nu = _nu_init(lam, r)
-        s, _ = hard_case_step(b, g, np.zeros_like(b), xi)
-        return SubproblemSolution(s, nu, SubproblemStatus.HARD_CASE, 0, 0,
-                                  _model_decrease(b, g, s, nu, math.sqrt(s.dot(s))))
-
     # shift > 0 at this nu (lam > 0 or _nu_init's margin) and at every later, no smaller nu
     nu = 0.0 if lam > 0.0 else _nu_init(lam, r)
     shift, s, ns = _solve(b, g, nu, r)
 
     if ns ** 3 <= xi:
-        on_boundary = abs(ns ** 3 - xi) <= 1e-12 * max(1.0, xi)
-        if on_boundary:
+        # s = 0 (g = 0) is interior or a hard-case escape, never on the boundary
+        if ns > 0.0 and abs(ns ** 3 - xi) <= 1e-12 * max(1.0, xi):
             return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, 0, 0,
                                       _model_decrease(b, g, s, nu, ns))
         if lam >= 0.0:
@@ -188,7 +177,7 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
                                   _model_decrease(b, g, s, nu, math.sqrt(s.dot(s))))
 
     # ||s||^3 > xi: the constraint is active and phi(nu, r) < 0 here
-    tol_abs = cfg.kkt_tol * (1.0 + gnorm)
+    tol_abs = cfg.kkt_tol * (1.0 + math.sqrt(gg))
     nu_lo, nu_hi = nu, math.inf
     iters_to_band = -1
     iters = 0

@@ -1,7 +1,9 @@
 """Config parsing, the experiment grid, CSV schemas, summaries, deviation
 measurement, and the CLI."""
 
+import dataclasses
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +197,46 @@ def test_params_changed_after_parsing_are_honoured(tmp_path, monkeypatch):
     assert traj.final_x.size == 4 and len(built) == 2
 
 
+def test_a_list_value_changed_in_place_is_rebuilt(monkeypatch):
+    built = _count_builds(monkeypatch)
+    cfg = parse_config_text(GRID.replace("dim = 3", "dim = 3\nx0 = 1,1,1"))
+    params = cfg.problems["ros"]
+    params["x0"][0] = 0.5
+    _, x0 = cfg.built_problem(params)
+    assert x0[0] == 0.5 and len(built) == 2
+
+
+def test_unchanged_params_are_not_rebuilt(monkeypatch):
+    built = _count_builds(monkeypatch)
+    cfg = parse_config_text(GRID)
+    obj, _ = cfg.built_problem(cfg.problems["ros"])
+    assert cfg.built_problem(cfg.problems["ros"])[0] is obj and len(built) == 1
+
+
+def test_identical_sections_share_one_build(tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    cfg = parse_config_text(GRID + "[problem.twin]\nkind = rosenbrock\ndim = 3\n")
+    paths, _ = run_experiment(cfg, str(tmp_path / "out"))
+    assert len(paths) == 18 and len(built) == 1
+
+
+def test_grid_keeps_no_earlier_run_records(tmp_path, monkeypatch):
+    # the summary needs only each run's final loss and length, so a run's
+    # records may live only until the next run replaces them
+    last_records, alive_at_start = [], []
+    original = harness.run_one
+
+    def run_one(*args):
+        alive_at_start.append(sum(ref() is not None for ref in last_records))
+        traj = original(*args)
+        last_records.append(weakref.ref(traj.records[-1]))
+        return traj
+
+    monkeypatch.setattr(harness, "run_one", run_one)
+    paths, _ = run_experiment(parse_config_text(GRID), str(tmp_path / "out"))
+    assert len(paths) == 9 and max(alive_at_start) <= 1
+
+
 def test_grid_counting_contract(tmp_path):
     cfg = parse_config_text(BASIC)
     paths, summary_path = run_experiment(cfg, str(tmp_path / "out"))
@@ -333,6 +375,23 @@ def test_deviation_rejects_deterministic_objective():
     obj, x0 = build_problem({"kind": "saddle"})
     with pytest.raises(ValueError):
         measure_subsample_deviation(obj, x0, 4, 10, 1)
+
+
+@pytest.mark.parametrize("batch_size, trials, named", [
+    (4, 0, "trials"), (4, -1, "trials"),
+    (0, 10, "batch_size"), (-3, 10, "batch_size"), (21, 10, "batch_size"),
+])
+def test_deviation_rejects_bad_arguments_before_any_oracle_call(batch_size, trials,
+                                                                 named):
+    obj = make_synthetic_logistic(20, 3, 0.0, 0)
+
+    def refused(*args):
+        raise AssertionError("oracle called")
+
+    untouchable = dataclasses.replace(obj, eval_fn=refused, grad_fn=refused,
+                                      hvp_fn=refused, exact_diag_fn=refused)
+    with pytest.raises(ValueError, match=named):
+        measure_subsample_deviation(untouchable, np.zeros(3), batch_size, trials, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -191,18 +191,26 @@ def test_root_finder_hard_case():
     assert ref[1] < 0.0
 
 
-def test_root_finder_zero_gradient_psd():
-    sol = root_finder(np.array([1.0, 0.0]), np.zeros(2), 1.0, CFG)
-    assert sol.status is SubproblemStatus.INTERIOR
-    assert sol.nu == 0.0
-    np.testing.assert_array_equal(sol.s, np.zeros(2))
-
-
-def test_root_finder_zero_gradient_indefinite_escapes():
-    sol = root_finder(np.array([1.0, -1.0]), np.zeros(2), 1.0, CFG)
-    assert sol.status is SubproblemStatus.HARD_CASE
-    np.testing.assert_allclose(sol.s, [0.0, 1.0], atol=1e-12)
-    assert sol.model_decrease > 0.0
+@pytest.mark.parametrize("xi, eps_m", [(1.0, 1e-6), (1e-13, 1e-15)])
+@pytest.mark.parametrize("b, status, decrease", [
+    ([1.0, 2.0], SubproblemStatus.INTERIOR, False),    # lambda > 0
+    ([1.0, 0.0], SubproblemStatus.INTERIOR, False),    # lambda = 0
+    ([1.0, -1.0], SubproblemStatus.HARD_CASE, True),   # lambda < 0
+])
+def test_root_finder_zero_gradient_outcomes(b, status, decrease, xi, eps_m):
+    # at xi <= 1e-12 a zero step is within the boundary test's tolerance of
+    # the radius; it must still not be classed BOUNDARY
+    cfg = dataclasses.replace(CFG, eps_m=eps_m)
+    sol = root_finder(np.array(b), np.zeros(2), xi, cfg)
+    r = xi ** (1.0 / 3.0)
+    assert sol.status is status
+    assert (sol.model_decrease > 0.0) is decrease
+    if status is SubproblemStatus.INTERIOR:
+        assert sol.nu == 0.0
+        np.testing.assert_array_equal(sol.s, np.zeros(2))
+    else:  # escape along e_1 to the radius; lambda_d^+ = -1 - 1e-8 gives nu
+        assert sol.nu == pytest.approx(2.0 * (1.0 + 1e-8) / r, rel=1e-14)
+        np.testing.assert_allclose(sol.s, [0.0, r], rtol=1e-14, atol=0.0)
 
 
 def test_root_finder_input_validation():
