@@ -15,22 +15,20 @@ class IterationClass(enum.Enum):
 
 @dataclass(frozen=True)
 class AdaCubicConfig:
-    """Universal hyperparameters of the optimizer, and the initial xi.
+    """Universal hyperparameters of the method, and the initial xi.
 
     The defaults are the fixed, tuning-free values used across all
-    benchmarks; only change them if you know why.  Every check is written
-    so that NaN fails it.
+    benchmarks; only change them if you know why.  The subproblem solver's
+    tolerances are not among them: they are constants of ``subproblem.py``.
+    Every check is written so that NaN fails it.
     """
 
     eta1: float = 0.05
     eta2: float = 0.75
     alpha1: float = 2.5
     alpha2: float = 0.25
-    kappa_easy: float = 0.01
     eps_m: float = 1e-6
     hutchinson_samples: int = 1
-    max_newton_iters: int = 100
-    kkt_tol: float = 1e-8
     xi0: float = 1.0
 
     def __post_init__(self):
@@ -38,16 +36,11 @@ class AdaCubicConfig:
             raise ValueError(f"need 0 < eta1 <= eta2 < 1, got {self.eta1}, {self.eta2}")
         if not (0.0 < self.alpha2 < 1.0 <= self.alpha1):
             raise ValueError(f"need 0 < alpha2 < 1 <= alpha1, got {self.alpha2}, {self.alpha1}")
-        if not (0.0 < self.kappa_easy < 1.0):
-            raise ValueError(f"kappa_easy must be in (0, 1), got {self.kappa_easy}")
         if not (self.eps_m > 0.0):
             raise ValueError(f"eps_m must be positive, got {self.eps_m}")
-        for name in ("hutchinson_samples", "max_newton_iters"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-        if not (self.kkt_tol >= 0.0):
-            raise ValueError(f"kkt_tol must be nonnegative, got {self.kkt_tol}")
+        count = self.hutchinson_samples
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"hutchinson_samples must be an integer >= 1, got {count!r}")
         if not (self.eps_m <= self.xi0 < math.inf):
             raise ValueError(f"need eps_m <= xi0 < inf, got {self.xi0}")
 
@@ -60,8 +53,8 @@ def update_xi(xi: float, rho: float, step_norm_cubed: float,
     rho >= eta2 the iteration is very successful and xi expands toward
     alpha1*||s||^3, never shrinking; at eta1 <= rho < eta2 (the boundary
     rho == eta1 included) it is successful and xi is kept; below eta1 xi
-    shrinks to alpha2*||s||^3, floored at eps_m.  The floor guarantees
-    xi >= eps_m for every subsequent solve.
+    shrinks to alpha2*||s||^3, floored at eps_m.  With ``eps_m <= xi0``
+    the floor keeps xi >= eps_m throughout a run.
     """
     if math.isnan(rho):
         raise ValueError("rho is NaN; the step was degenerate and must be handled upstream")

@@ -103,7 +103,7 @@ def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
         (obj.eval(x, batch), obj.grad(x, batch))
     b = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim,
                         cfg.hutchinson_samples, rng)
-    sol = root_finder(b, g, xi, cfg)
+    sol = root_finder(b, g, xi)
     s = sol.s
     step_norm = math.sqrt(s.dot(s))
     x_new = x + s

@@ -113,9 +113,9 @@ def _apply_run_key(cfg: ExperimentConfig, key: str, value) -> None:
     if key == "seeds":
         cfg.seeds = checked_seeds(value)
     elif key == "max_iters":
-        cfg.max_iters = _positive_int(key, value)
+        cfg.max_iters = _checked_int(key, value)
     elif key == "batch_size":
-        cfg.batch_size = None if value == "full" else _positive_int(key, value)
+        cfg.batch_size = None if value == "full" else _checked_int(key, value)
     elif key == "stop_grad_norm":
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and 0.0 <= value < math.inf):  # NaN fails
@@ -127,9 +127,9 @@ def _apply_run_key(cfg: ExperimentConfig, key: str, value) -> None:
         raise ConfigError(f"unknown [run] key: {key}")
 
 
-def _positive_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+def _checked_int(key: str, value, least: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -194,9 +194,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("no [problem.*] sections defined")
     if not cfg.optimizers:
         raise ConfigError("no [optimizer.*] sections defined")
-    checked_seeds(cfg.seeds)
-    if cfg.max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
     for name, params in cfg.problems.items():
         try:
             obj, _ = cfg.built_problem(params)
@@ -230,7 +227,7 @@ def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
         obj = make_quadratic(diag, g0)
         x0 = _as_array(params.get("x0", [1.0] * diag.size), "x0")
     elif kind == "rosenbrock":
-        d = int(params.get("dim", 2))
+        d = _checked_int("dim", params.get("dim", 2))
         obj = make_rosenbrock(d)
         x0 = _as_array(params.get("x0", [-1.2] + [1.0] * (d - 1)), "x0")
     elif kind == "saddle":
@@ -241,9 +238,10 @@ def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
         if "data" in params:
             obj = load_logistic_csv(str(params["data"]), l2)
         else:
-            obj = make_synthetic_logistic(int(params.get("n", 200)),
-                                          int(params.get("dim", 5)), l2,
-                                          int(params.get("data_seed", 0)))
+            n = _checked_int("n", params.get("n", 200))
+            d = _checked_int("dim", params.get("dim", 5))
+            seed = _checked_int("data_seed", params.get("data_seed", 0), least=0)
+            obj = make_synthetic_logistic(n, d, l2, seed)
         x0 = _as_array(params.get("x0", [0.0] * obj.dim), "x0")
     if x0.size != obj.dim:
         raise ConfigError(f"x0 has length {x0.size}, problem dimension is {obj.dim}")

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AdaCubicConfig
+# the solver's own accuracy parameters, not hyperparameters of the method:
+# the relative radius band of the boundary search, the scale of its
+# stationarity stop test, and its budget of Newton-bisection passes
+KAPPA_EASY = 0.01
+KKT_TOL = 1e-8
+MAX_NEWTON_ITERS = 100
 
 
 class ShiftNotPositiveDefiniteError(ValueError):
@@ -23,8 +28,8 @@ class ShiftNotPositiveDefiniteError(ValueError):
 
 
 class SolverStallError(RuntimeError):
-    """The boundary search spent its ``max_newton_iters`` budget without
-    meeting its stop test; carries the last iterate."""
+    """The boundary search spent its ``MAX_NEWTON_ITERS`` passes without
+    meeting its stop test on a well-posed instance; carries the last iterate."""
 
     def __init__(self, message: str, best: "SubproblemSolution"):
         super().__init__(message)
@@ -133,25 +138,25 @@ def _nu_init(lam: float, r: float) -> float:
     return -2.0 * (lam - margin) / r
 
 
-def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
-                cfg: AdaCubicConfig) -> SubproblemSolution:
+def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
     """Full model-minimizer search: interior / boundary / hard-case branches.
 
     On the boundary the dual variable is found by one bracketed
     Newton-bisection loop on the secular equation.  Each pass solves the
     shifted system once; it stops when ||s|| is inside the relative radius
-    band ``kappa_easy`` and the stationarity residual is below
-    ``kkt_tol * (1 + ||g||)`` (a few extra quadratic-phase passes), so
+    band ``KAPPA_EASY`` and the stationarity residual is below
+    ``KKT_TOL * (1 + ||g||)`` (a few extra quadratic-phase passes), so
     emitted steps satisfy the KKT conditions tightly.  Otherwise it narrows
     the bracket and takes the Newton step, or bisects (doubles while the
     bracket has no upper end) when that step leaves the bracket.  At most
-    ``max_newton_iters`` steps are taken; then :class:`SolverStallError`
-    carries the last iterate.
+    ``MAX_NEWTON_ITERS`` steps are taken; then :class:`SolverStallError`
+    carries the last iterate.  Needs 0 < xi < inf and finite b and g;
+    otherwise raises ``ValueError`` before any solve.
     """
     b = np.asarray(b, dtype=float)
     g = np.asarray(g, dtype=float)
-    if xi < cfg.eps_m:
-        raise ValueError(f"xi={xi:g} below the floor eps_m={cfg.eps_m:g}")
+    if not (0.0 < xi < math.inf):  # NaN fails
+        raise ValueError(f"need 0 < xi < inf, got {xi!r}")
     lam = float(np.minimum.reduce(b))
     gg = g @ g
     # b is finite iff its extremes are; g iff g @ g is, unless that overflows
@@ -177,19 +182,19 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float,
                                   _model_decrease(b, g, s, nu, math.sqrt(s.dot(s))))
 
     # ||s||^3 > xi: the constraint is active and phi(nu, r) < 0 here
-    tol_abs = cfg.kkt_tol * (1.0 + math.sqrt(gg))
+    tol_abs = KKT_TOL * (1.0 + math.sqrt(gg))
     nu_lo, nu_hi = nu, math.inf
     iters_to_band = -1
     iters = 0
     while True:
         gap = abs(ns - r)
-        if gap <= cfg.kappa_easy * r:
+        if gap <= KAPPA_EASY * r:
             if iters_to_band < 0:
                 iters_to_band = iters
             if 0.5 * nu * gap * float(np.maximum.reduce(np.abs(s))) <= tol_abs:
                 return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
                                           iters_to_band, _model_decrease(b, g, s, nu, ns))
-        if iters == cfg.max_newton_iters:
+        if iters == MAX_NEWTON_ITERS:
             break
         phi_val = 1.0 / ns - 1.0 / r
         if phi_val < 0.0:

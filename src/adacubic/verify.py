@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import AdaCubicConfig
 from .problems import brute_force_subproblem_min
-from .subproblem import dphi_dnu, kkt_residual, phi, root_finder
+from .subproblem import KAPPA_EASY, dphi_dnu, kkt_residual, phi, root_finder
 
 
 def random_instance(rng: np.random.Generator, max_dim: int = 10):
@@ -53,20 +52,19 @@ def probe_gap(b: np.ndarray, g: np.ndarray, nu: float, s: np.ndarray,
 def kkt_suite(n: int = 500, seed: int = 12345) -> tuple:
     """Stationarity, shifted curvature, slackness, model decrease, and the
     Newton iteration budget, over random subproblem instances."""
-    cfg = AdaCubicConfig()
     rng = np.random.default_rng(seed)
     worst = {"stationarity": 0.0, "min_shift": 0.0, "slack": 0.0,
              "model": -np.inf, "band_iters": 0}
     ok = True
     for _ in range(n):
         b, g, xi = random_instance(rng)
-        sol = root_finder(b, g, xi, cfg)
+        sol = root_finder(b, g, xi)
         res = kkt_residual(b, g, sol, xi)
         gn = float(np.linalg.norm(g))
         ns = float(np.linalg.norm(sol.s))
         model = float(g @ sol.s + 0.5 * sol.s @ (b * sol.s) + sol.nu / 6.0 * ns ** 3)
         stat_rel = res.stationarity / (1e-6 * (1.0 + gn))
-        slack_band = 4.0 * cfg.kappa_easy * xi * sol.nu
+        slack_band = 4.0 * KAPPA_EASY * xi * sol.nu
         # model value must sit below -(nu/12)||s||^3; excess must be <= 1e-10
         excess = model + sol.nu / 12.0 * ns ** 3
         worst["stationarity"] = max(worst["stationarity"], stat_rel)
@@ -88,7 +86,6 @@ def duality_suite(n: int = 100, seed: int = 777, resolution: int = 200,
                   probes: int = 10000) -> tuple:
     """Agreement with the brute-force constrained minimizer, and global
     optimality of the step for the unconstrained cubic model at M = nu*."""
-    cfg = AdaCubicConfig()
     rng = np.random.default_rng(seed)
     ok = True
     worst_coord = 0.0
@@ -96,7 +93,7 @@ def duality_suite(n: int = 100, seed: int = 777, resolution: int = 200,
     for _ in range(n):
         b, g, xi = random_instance(rng, max_dim=3)
         r = xi ** (1.0 / 3.0)
-        sol = root_finder(b, g, xi, cfg)
+        sol = root_finder(b, g, xi)
         ref = brute_force_subproblem_min(b, g, xi, resolution)
         coord_err = float(np.max(np.abs(sol.s - ref))) / (2.0 * r / resolution)
         worst_coord = max(worst_coord, coord_err)

@@ -7,7 +7,7 @@ import pytest
 from adacubic import root_finder
 
 from test_acceptance import run_criterion_6b
-from test_subproblem import CFG, _kkt_instances
+from test_subproblem import _kkt_instances
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +16,7 @@ def kkt_solved():
     acceptance criteria 1, 3 and 5, the solver tests and the golden pin:
     [(b, g, xi, solution)] and the seconds that took."""
     start = time.perf_counter()
-    solved = [(b, g, xi, root_finder(b, g, xi, CFG)) for b, g, xi in _kkt_instances()]
+    solved = [(b, g, xi, root_finder(b, g, xi)) for b, g, xi in _kkt_instances()]
     return solved, time.perf_counter() - start
 
 

@@ -18,6 +18,7 @@ from adacubic import (AdaCubicConfig, SubproblemStatus, kkt_residual,
                       make_quadratic, make_rosenbrock, make_saddle,
                       make_synthetic_logistic, run, run_baseline, verify)
 from adacubic.harness import parse_config_text, run_experiment
+from adacubic.subproblem import KAPPA_EASY
 
 CFG = AdaCubicConfig()
 
@@ -54,11 +55,11 @@ def test_criterion_1_kkt_suite(kkt_solved):
         worst_stat = max(worst_stat, res.stationarity / (1e-6 * (1.0 + gn)))
         worst_shift = min(worst_shift, res.min_shifted_curvature)
         slack_ok = sol.nu == 0.0 or \
-            abs(res.slackness) <= 4.0 * CFG.kappa_easy * xi * sol.nu
-        # a boundary or hard-case step lies in the kappa_easy band of the radius
+            abs(res.slackness) <= 4.0 * KAPPA_EASY * xi * sol.nu
+        # a boundary or hard-case step lies in the KAPPA_EASY band of the radius
         r = xi ** (1.0 / 3.0)
         band_ok = sol.status is SubproblemStatus.INTERIOR or \
-            abs(np.linalg.norm(sol.s) - r) <= CFG.kappa_easy * r
+            abs(np.linalg.norm(sol.s) - r) <= KAPPA_EASY * r
         if not (sol.nu >= 0.0 and res.stationarity <= 1e-6 * (1.0 + gn)
                 and res.min_shifted_curvature >= -1e-10 and slack_ok and band_ok):
             ok = False

@@ -16,11 +16,11 @@ def test_default_hyperparameters():
     assert cfg.eta2 == 0.75
     assert cfg.alpha1 == 2.5
     assert cfg.alpha2 == 0.25
-    assert cfg.kappa_easy == 0.01
     assert cfg.eps_m == 1e-6
     assert cfg.hutchinson_samples == 1
-    assert cfg.max_newton_iters == 100
     assert cfg.xi0 == 1.0
+    # the subproblem solver's tolerances are constants of its module
+    assert len(dataclasses.fields(cfg)) == 7
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -30,19 +30,13 @@ def test_default_hyperparameters():
     {"alpha1": 0.9},
     {"alpha2": 0.0},
     {"alpha2": 1.0},
-    {"kappa_easy": 0.0},
-    {"kappa_easy": 1.0},
     {"eps_m": 0.0},
     {"hutchinson_samples": 0},
-    {"max_newton_iters": 0},
-    {"kkt_tol": -1.0},
     # NaN fails every check
-    {"kkt_tol": math.nan},
     {"eps_m": math.nan},
-    # the two counts are integers, not floats or bools
+    # the count is an integer, not a float or a bool
     {"hutchinson_samples": 2.5},
     {"hutchinson_samples": True},
-    {"max_newton_iters": 2.5},
     # eps_m <= xi0 < inf
     {"xi0": -1.0},
     {"xi0": 1e-7},

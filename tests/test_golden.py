@@ -42,7 +42,7 @@ from adacubic import (IterationClass, SolverStallError, harness, make_rosenbrock
 from adacubic.harness import parse_config_text, run_experiment
 
 from test_acceptance import run_criterion_6b
-from test_subproblem import CFG, _kkt_instances, _scaled_instances
+from test_subproblem import _kkt_instances, _scaled_instances
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
@@ -178,7 +178,7 @@ def solver_entries(kkt_solutions: list) -> dict:
                for i, sol in enumerate(kkt_solutions)}
     for i, (b, g, xi) in enumerate(_scaled_instances(400)):
         try:
-            entries[f"scaled/{i}"] = solution_entry(root_finder(b, g, xi, CFG))
+            entries[f"scaled/{i}"] = solution_entry(root_finder(b, g, xi))
         except SolverStallError:
             entries[f"scaled/{i}"] = "stall"
     return entries
@@ -347,7 +347,7 @@ def test_another_stack_fails_a_stall(bite):
 
 
 if __name__ == "__main__":
-    solutions = [root_finder(b, g, xi, CFG) for b, g, xi in _kkt_instances()]
+    solutions = [root_finder(b, g, xi) for b, g, xi in _kkt_instances()]
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump(pin(solutions, run_criterion_6b()[0])))
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -122,6 +122,24 @@ kind = adam
      "need 0 <= stop_grad_norm < inf"),
     ("[run]\nstop_grad_norm = abc\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
      "need 0 <= stop_grad_norm < inf"),
+    # problem sizes and data seeds are integers, never truncated
+    ("[problem.p]\nkind = rosenbrock\ndim = 2.5\n[optimizer.o]\nkind = sgd",
+     "problem.p: dim must be an integer >= 1, got 2.5"),
+    ("[problem.p]\nkind = logistic\nn = 60.9\n[optimizer.o]\nkind = sgd",
+     "problem.p: n must be an integer >= 1, got 60.9"),
+    ("[problem.p]\nkind = logistic\ndim = 0\n[optimizer.o]\nkind = sgd",
+     "problem.p: dim must be an integer >= 1, got 0"),
+    ("[problem.p]\nkind = logistic\ndata_seed = 1.5\n[optimizer.o]\nkind = sgd",
+     "problem.p: data_seed must be an integer >= 0, got 1.5"),
+    ("[problem.p]\nkind = logistic\ndata_seed = -1\n[optimizer.o]\nkind = sgd",
+     "problem.p: data_seed must be an integer >= 0, got -1"),
+    # the subproblem solver's tolerances are constants, not config keys
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nkappa_easy = 0.1",
+     "optimizer.o: unknown key 'kappa_easy'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nkkt_tol = 1e-6",
+     "optimizer.o: unknown key 'kkt_tol'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nmax_newton_iters = 50",
+     "optimizer.o: unknown key 'max_newton_iters'"),
 ])
 def test_config_errors_name_offender(text, fragment):
     with pytest.raises(ConfigError) as err:

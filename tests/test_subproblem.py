@@ -3,7 +3,9 @@ hard-case branch, checked against closed forms and the brute-force oracle.
 The KKT conditions on the 500 seeded instances are acceptance criterion 1;
 tests/golden.json pins every solution of those and of the scaled instances."""
 
-import dataclasses
+import ast
+import inspect
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +13,12 @@ import pytest
 from adacubic import (AdaCubicConfig, ShiftNotPositiveDefiniteError,
                       SolverStallError, SubproblemStatus,
                       brute_force_subproblem_min, dphi_dnu, hard_case_step,
-                      kkt_residual, phi, root_finder)
-from adacubic.subproblem import _shifted_solve
+                      kkt_residual, phi, root_finder, subproblem)
+from adacubic.subproblem import (KAPPA_EASY, KKT_TOL, MAX_NEWTON_ITERS,
+                                 _shifted_solve)
 from adacubic.verify import random_instance
 
-CFG = AdaCubicConfig()
+EPS_M = AdaCubicConfig().eps_m  # the smallest xi a run solves at
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +153,18 @@ def test_hard_case_argmin_tie_uses_smallest_index():
 # ---------------------------------------------------------------------------
 
 def test_root_finder_one_dimensional_boundary():
-    sol = root_finder(np.array([1.0]), np.array([2.0]), 1.0, CFG)
+    sol = root_finder(np.array([1.0]), np.array([2.0]), 1.0)
     assert sol.status is SubproblemStatus.BOUNDARY
     assert sol.s[0] == pytest.approx(-1.0, abs=1e-9)
     assert sol.nu == pytest.approx(2.0, abs=1e-8)
     res = kkt_residual(np.array([1.0]), np.array([2.0]), sol, 1.0)
     assert res.stationarity <= 1e-9
     assert res.min_shifted_curvature == pytest.approx(2.0, abs=1e-8)
-    assert abs(res.slackness) <= 3.0 * CFG.kappa_easy * 1.0
+    assert abs(res.slackness) <= 3.0 * KAPPA_EASY * 1.0
 
 
 def test_root_finder_interior():
-    sol = root_finder(np.array([1.0, 2.0]), np.array([-1.0, -2.0]), 1000.0, CFG)
+    sol = root_finder(np.array([1.0, 2.0]), np.array([-1.0, -2.0]), 1000.0)
     assert sol.status is SubproblemStatus.INTERIOR
     assert sol.nu == 0.0
     np.testing.assert_allclose(sol.s, [1.0, 1.0])
@@ -173,7 +176,7 @@ def test_root_finder_hard_case():
     b = np.array([-1.0, 2.0])
     g = np.array([0.0, 1.0])
     xi = 0.5
-    sol = root_finder(b, g, xi, CFG)
+    sol = root_finder(b, g, xi)
     assert sol.status is SubproblemStatus.HARD_CASE
     assert np.linalg.norm(sol.s) ** 3 == pytest.approx(xi, rel=1e-9)
     # analytic solution: shift pinned at -lambda_d, s_2 = -1/3, s_1 > 0
@@ -182,7 +185,7 @@ def test_root_finder_hard_case():
                                      abs=1e-6)
     assert sol.nu == pytest.approx(2.0 / xi ** (1.0 / 3.0), rel=1e-6)
     res = kkt_residual(b, g, sol, xi)
-    assert res.min_shifted_curvature >= -CFG.kkt_tol
+    assert res.min_shifted_curvature >= -KKT_TOL
     # independent oracle agrees within grid tolerance; g_1 = 0 makes the
     # model symmetric in the sign of s_1, so compare magnitudes
     ref = brute_force_subproblem_min(b, g, xi)
@@ -191,17 +194,16 @@ def test_root_finder_hard_case():
     assert ref[1] < 0.0
 
 
-@pytest.mark.parametrize("xi, eps_m", [(1.0, 1e-6), (1e-13, 1e-15)])
+@pytest.mark.parametrize("xi", [1.0, 1e-13])
 @pytest.mark.parametrize("b, status, decrease", [
     ([1.0, 2.0], SubproblemStatus.INTERIOR, False),    # lambda > 0
     ([1.0, 0.0], SubproblemStatus.INTERIOR, False),    # lambda = 0
     ([1.0, -1.0], SubproblemStatus.HARD_CASE, True),   # lambda < 0
 ])
-def test_root_finder_zero_gradient_outcomes(b, status, decrease, xi, eps_m):
+def test_root_finder_zero_gradient_outcomes(b, status, decrease, xi):
     # at xi <= 1e-12 a zero step is within the boundary test's tolerance of
     # the radius; it must still not be classed BOUNDARY
-    cfg = dataclasses.replace(CFG, eps_m=eps_m)
-    sol = root_finder(np.array(b), np.zeros(2), xi, cfg)
+    sol = root_finder(np.array(b), np.zeros(2), xi)
     r = xi ** (1.0 / 3.0)
     assert sol.status is status
     assert (sol.model_decrease > 0.0) is decrease
@@ -213,11 +215,42 @@ def test_root_finder_zero_gradient_outcomes(b, status, decrease, xi, eps_m):
         np.testing.assert_allclose(sol.s, [0.0, r], rtol=1e-14, atol=0.0)
 
 
-def test_root_finder_input_validation():
-    with pytest.raises(ValueError):
-        root_finder(np.array([1.0]), np.array([1.0]), 1e-9, CFG)  # xi < eps_m
-    with pytest.raises(ValueError):
-        root_finder(np.array([np.nan]), np.array([1.0]), 1.0, CFG)
+def test_solver_constants():
+    assert (KAPPA_EASY, KKT_TOL, MAX_NEWTON_ITERS) == (0.01, 1e-8, 100)
+
+
+def test_solver_does_not_import_the_config():
+    # the solver's tolerances live in its module and the xi floor in the
+    # trust-region rule; neither layer reads the other's
+    tree = ast.parse(inspect.getsource(subproblem))
+    names = []  # every dotted name an import statement mentions
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert not [name for name in names if "config" in name.split(".")]
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_root_finder_rejects_xi_outside_zero_to_inf_before_solving(xi, monkeypatch):
+    # nan and +inf used to run every pass and raise SolverStallError
+    monkeypatch.setattr(subproblem, "_solve", None)  # no solve may start
+    with pytest.raises(ValueError, match="0 < xi < inf"):
+        root_finder(np.array([1.0, -1.0]), np.array([0.5, 0.3]), xi)
+
+
+@pytest.mark.parametrize("xi", [1e-7, 1e-9, 1e-12])
+@pytest.mark.parametrize("b, g", [([1.0], [2.0]), ([1.0, -1.0], [0.5, 0.3]),
+                                  ([2.0, 3.0], [1.0, -1.0])])
+def test_root_finder_solves_below_the_xi_floor(b, g, xi):
+    # the floor eps_m = 1e-6 belongs to the trust-region rule, not the solver
+    b, g = np.array(b), np.array(g)
+    sol = root_finder(b, g, xi)
+    r = xi ** (1.0 / 3.0)
+    assert sol.status is SubproblemStatus.BOUNDARY
+    assert kkt_residual(b, g, sol, xi).stationarity <= 1e-6 * (1.0 + np.linalg.norm(g))
+    assert abs(np.linalg.norm(sol.s) - r) <= KAPPA_EASY * r
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200])  # 1e200: g @ g overflows too
@@ -227,16 +260,16 @@ def test_root_finder_rejects_non_finite_b_or_g(where, bad, scale):
     b, g = np.array([scale, -2.0, 3.0]), np.array([scale, 1.0, -1.0])
     (b if where == "b" else g)[1] = bad
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        root_finder(b, g, 1.0, CFG)
+        root_finder(b, g, 1.0)
 
 
 @pytest.mark.parametrize("b, g", [([1e200, 2e200], [1e200, -1e200]),
                                   ([-1e200, 2e200], [3e200, -1e200])])
 def test_root_finder_accepts_finite_b_and_g_whose_squares_overflow(b, g):
     with np.errstate(over="ignore"):  # g @ g overflows
-        sol = root_finder(np.array(b), np.array(g), 1.0, CFG)
+        sol = root_finder(np.array(b), np.array(g), 1.0)
     assert sol.status is SubproblemStatus.BOUNDARY
-    assert abs(np.linalg.norm(sol.s) - 1.0) <= CFG.kappa_easy
+    assert abs(np.linalg.norm(sol.s) - 1.0) <= KAPPA_EASY
 
 
 def test_newton_iterates_monotone_from_negative_side():
@@ -271,7 +304,7 @@ def test_matches_brute_force_on_low_dimensions():
         b = rng.uniform(-2.0, 2.0, size=d)
         g = rng.uniform(-1.0, 1.0, size=d)
         xi = float(10.0 ** rng.uniform(-2, 1))
-        sol = root_finder(b, g, xi, CFG)
+        sol = root_finder(b, g, xi)
         ref = brute_force_subproblem_min(b, g, xi)
         tol = 2.0 * xi ** (1.0 / 3.0) / 200
         np.testing.assert_allclose(sol.s, ref, atol=tol)
@@ -289,7 +322,7 @@ def _scaled_instances(n, seed=2024):
     for _ in range(n):
         b, g, xi = random_instance(rng)
         b = b * 10.0 ** rng.uniform(-6, 6)
-        xi = max(xi * 10.0 ** rng.uniform(-6, 6), CFG.eps_m)
+        xi = max(xi * 10.0 ** rng.uniform(-6, 6), EPS_M)
         yield b, g, xi
 
 
@@ -300,7 +333,7 @@ def _kkt_instances(n=500, seed=12345):
 
 def _outcome(solver, b, g, xi):
     try:
-        sol = solver(b, g, xi, CFG)
+        sol = solver(b, g, xi)
     except SolverStallError:
         return "stall"
     return (sol.s.tobytes(), sol.s.dtype, sol.s.shape, sol.nu, sol.status,
@@ -311,20 +344,21 @@ def test_stall_raises_with_the_last_finite_iterate_after_the_budget():
     b, g, xi = next((b, g, xi) for b, g, xi in _scaled_instances(400)
                     if _outcome(root_finder, b, g, xi) == "stall")
     with pytest.raises(SolverStallError) as info:
-        root_finder(b, g, xi, CFG)
+        root_finder(b, g, xi)
     best = info.value.best
-    assert best.newton_iters == CFG.max_newton_iters
+    assert best.newton_iters == MAX_NEWTON_ITERS
     assert best.status is SubproblemStatus.BOUNDARY
     assert np.all(np.isfinite(best.s)) and np.isfinite(best.nu)
 
 
-def test_max_newton_iters_bounds_the_passes(kkt_solved):
+def test_max_newton_iters_bounds_the_passes(kkt_solved, monkeypatch):
     b, g, xi, sol = next(item for item in kkt_solved[0] if item[3].newton_iters > 2)
+    monkeypatch.setattr(subproblem, "MAX_NEWTON_ITERS", 2)
     with pytest.raises(SolverStallError) as info:
-        root_finder(b, g, xi, dataclasses.replace(CFG, max_newton_iters=2))
+        root_finder(b, g, xi)
     assert info.value.best.newton_iters == 2
     assert np.all(np.isfinite(info.value.best.s))
     # a budget of exactly the passes a solve needs returns the same solution
-    exact = root_finder(b, g, xi,
-                        dataclasses.replace(CFG, max_newton_iters=sol.newton_iters))
+    monkeypatch.setattr(subproblem, "MAX_NEWTON_ITERS", sol.newton_iters)
+    exact = root_finder(b, g, xi)
     assert exact.nu == sol.nu and np.array_equal(exact.s, sol.s)

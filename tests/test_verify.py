@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 
-from adacubic import AdaCubicConfig, root_finder, verify
+from adacubic import root_finder, verify
 from adacubic.subproblem import dphi_dnu, phi
 
 EPS = np.finfo(float).eps
@@ -77,8 +77,8 @@ def test_cubic_model_rows_match_the_scalar_formula():
 
 
 def test_duality_suite_catches_a_shrunk_boundary_step(monkeypatch):
-    def shrunk(b, g, xi, cfg):
-        sol = root_finder(b, g, xi, cfg)
+    def shrunk(b, g, xi):
+        sol = root_finder(b, g, xi)
         if sol.status.value == "Boundary":
             sol = dataclasses.replace(sol, s=0.9 * sol.s)
         return sol
@@ -92,8 +92,8 @@ def test_duality_suite_catches_a_shrunk_boundary_step(monkeypatch):
 def test_duality_probe_check_alone_catches_a_step_off_the_minimizer(monkeypatch):
     last = {}
 
-    def moved(b, g, xi, cfg):
-        sol = root_finder(b, g, xi, cfg)
+    def moved(b, g, xi):
+        sol = root_finder(b, g, xi)
         last["s"] = sol.s + 0.1
         return dataclasses.replace(sol, s=last["s"])
 
@@ -111,7 +111,7 @@ def _ring_instance(radius):
     solution, and 64 probes on a circle of ``radius`` around the step."""
     b = np.array([0.31503401329401015, -1.2110602108165258])
     g = np.array([0.6162735036271363, -0.02230792774148016])
-    sol = root_finder(b, g, 8.779639158233728, AdaCubicConfig())
+    sol = root_finder(b, g, 8.779639158233728)
     angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ring = radius * np.column_stack([np.cos(angles), np.sin(angles)])
     return b, g, sol, sol.s + ring
