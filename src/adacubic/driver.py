@@ -52,8 +52,10 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     draws a batch from ``rng`` unless the run is full-batch and calls
     ``step(k, x, batch, loss, g) -> (x', record)`` with the loss and
     gradient at x on it.  The full-batch loss and gradient at a point are
-    each computed at most once, when an iteration first needs them.  A
-    non-finite stop-check gradient norm raises ``FloatingPointError``.
+    each computed at most once, when an iteration first needs them; a
+    minibatch run skips the gradient where ``obj.grad_norm_floor`` proves
+    the test fails.  A non-finite stop-check gradient norm raises
+    ``FloatingPointError``.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -61,14 +63,25 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     records = []
     full_batch = batch_size is None or obj.num_samples == 0
     loss = g_full = None  # the full-batch loss and gradient at x, once computed
+    certified = False  # whether a floor proved that the stop test at x fails
     for k in range(max_iters):
-        if g_full is None:
-            g_full = obj.grad(x)
-            # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm
-            grad_norm = math.sqrt(g_full @ g_full)
-            if not math.isfinite(grad_norm):
-                raise FloatingPointError(f"non-finite gradient norm at iteration {k}")
-        if grad_norm <= stop_grad_norm and (curvature_ok is None or curvature_ok(x)):
+        if g_full is None and not certified:
+            # A floor L <= ||g|| with ||g|| < 2^500 (the oracle's promise)
+            # and L > 2 stop_grad_norm + 2^-500 proves that the test below
+            # would fail: ||g||^2 > 2^-1000 is then a normal number, g @ g
+            # is within d u relative of it plus d 2^-1074 for the squares
+            # that underflow, and so sqrt(g @ g) > ||g|| / 2 > stop_grad_norm,
+            # finite.  A full-batch step needs the gradient anyway.
+            certified = (not full_batch and
+                         obj.grad_norm_floor(x) > 2.0 * stop_grad_norm + 2.0 ** -500)
+            if not certified:
+                g_full = obj.grad(x)
+                # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm
+                grad_norm = math.sqrt(g_full @ g_full)
+                if not math.isfinite(grad_norm):
+                    raise FloatingPointError(f"non-finite gradient norm at iteration {k}")
+        if (not certified and grad_norm <= stop_grad_norm
+                and (curvature_ok is None or curvature_ok(x))):
             break
         if full_batch:
             loss = obj.eval(x) if loss is None else loss
@@ -78,7 +91,7 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
             x, rec = step(k, x, batch, obj.eval(x, batch), obj.grad(x, batch))
         records.append(rec)
         if rec.accepted:
-            loss, g_full = (rec.loss_after if full_batch else None), None
+            loss, g_full, certified = (rec.loss_after if full_batch else None), None, False
         elif full_batch and math.isnan(rec.rho):
             break  # a degenerate step: stationary model on the full objective
     return Trajectory(records=records, final_x=x)

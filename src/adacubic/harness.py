@@ -212,10 +212,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 def _as_array(value, key: str) -> np.ndarray:
     if isinstance(value, list):
-        return np.array([float(v) for v in value])
-    if isinstance(value, (int, float)):
-        return np.array([float(value)])
-    raise ConfigError(f"{key}: expected a number or comma list")
+        array = np.array([float(v) for v in value])
+    elif isinstance(value, (int, float)):
+        array = np.array([float(value)])
+    else:
+        raise ConfigError(f"{key}: expected a number or comma list")
+    if not np.isfinite(array).all():
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return array
 
 
 def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
@@ -236,6 +240,9 @@ def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
     else:  # logistic
         l2 = float(params.get("l2", 0.0))
         if "data" in params:
+            for key in ("n", "dim", "data_seed"):
+                if key in params:
+                    raise ConfigError(f"{key!r} is ignored when 'data' is given")
             obj = load_logistic_csv(str(params["data"]), l2)
         else:
             n = _checked_int("n", params.get("n", 200))

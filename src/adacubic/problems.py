@@ -8,6 +8,8 @@ at distinct points.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,6 +26,9 @@ class Objective:
     hvp_fn: Callable[[np.ndarray, np.ndarray, Batch], np.ndarray]
     exact_diag_fn: Callable[[np.ndarray], np.ndarray] | None = None
     num_samples: int = 0  # 0 = deterministic
+    # a number at most the 2-norm of grad(x) as grad_fn computes it, from one
+    # pass over the data; a positive one also promises that norm is below 2^500
+    grad_norm_floor_fn: Callable[[np.ndarray], float] | None = None
 
     def eval(self, x: np.ndarray, batch: Batch = None) -> float:
         return float(self.eval_fn(np.asarray(x, dtype=float), batch))
@@ -38,6 +43,13 @@ class Objective:
         if self.exact_diag_fn is None:
             raise NotImplementedError("objective has no analytic diagonal Hessian")
         return self.exact_diag_fn(np.asarray(x, dtype=float))
+
+    def grad_norm_floor(self, x: np.ndarray) -> float:
+        """A lower bound on ``||grad(x)||``, or 0.0: no certificate."""
+        if self.grad_norm_floor_fn is None:
+            return 0.0
+        floor = float(self.grad_norm_floor_fn(np.asarray(x, dtype=float)))
+        return floor if 0.0 < floor < math.inf else 0.0
 
 
 def validate_batch(batch: Batch, num_samples: int) -> None:
@@ -145,9 +157,16 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         raise ValueError("features must be n x d with one label per row")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +-1")
-    if l2 < 0.0:
-        raise ValueError("l2 must be nonnegative")
+    if not (0.0 <= l2 < math.inf):  # NaN fails
+        raise ValueError(f"need 0 <= l2 < inf, got {l2}")
     n, d = X.shape
+    eps = float(np.finfo(float).eps)
+
+    @functools.cache
+    def row_max() -> float:
+        """The largest row norm, computed by the first floor, as no other
+        callable needs it; einsum forms no n x d temporary."""
+        return math.sqrt(float(np.einsum("ij,ij->i", X, X).max(initial=0.0)))
 
     def rows(batch):
         validate_batch(batch, n)
@@ -181,8 +200,42 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         weights = sig * (1.0 - sig)
         return (weights[:, None] * X ** 2).mean(axis=0) + l2
 
+    def grad_norm_floor(w):
+        # Cauchy-Schwarz: ||grad F(w)|| >= |grad F(w) . w| / ||w||, and
+        # grad F(w) . w = mean(sig(m) m) + l2 ||w||^2, so the floor needs X w
+        # but not the gradient's second product with X.
+        #
+        # Rounding, with u = eps/2 and R the largest row norm: a sum of k
+        # terms is off by at most k u times the sum of their sizes, in any
+        # order, and exp is taken to be within 4 ulp.  Each m_i is then off
+        # by at most d u R ||w||; as |d(sig(m) m)/dm| < 1.1 and sig' <= 1/4,
+        # each sig(m_i) m_i is off by at most 1.1 d u R ||w|| + 12 u |p_i|
+        # and each sig(m_i) by at most d u R ||w|| / 4 + 11 u.  So `dot` is
+        # within `dot_slack` of grad F(w) . w, and grad(w), whose product
+        # with X^T adds at most n u R, within `grad_slack` of grad F(w):
+        # each slack is about twice the sum it bounds, which covers the
+        # rounding of the slacks, of ||w|| and of the floor itself.  Where
+        # ||w|| >= 2^-500 underflow adds less than 2^-520, and where
+        # R + l2 ||w|| < 2^498 a positive floor leaves ||grad(w)|| below
+        # 2^500.  A NaN fails the first test; one made later makes a NaN
+        # floor, and an infinity a NaN or -inf one.
+        ww = float(w @ w)
+        norm_w = math.sqrt(ww)
+        R = row_max()
+        if not (2.0 ** -1000 <= ww and R + l2 * norm_w < 2.0 ** 498):
+            return 0.0
+        m = -y * (X @ w)
+        p = m / (1.0 + np.exp(-m))  # sig(m) m
+        dot = float(p.mean()) + l2 * ww
+        dot_slack = eps * ((n + 16) * float(np.abs(p).mean()) + d * R * norm_w
+                           + (d + 4) * l2 * ww + abs(dot))
+        grad_slack = eps * ((n + 16) * R + d * R * R * norm_w + 2.0 * l2 * norm_w)
+        return ((abs(dot) - dot_slack) / (norm_w * (1.0 + (d + 4) * eps))
+                - grad_slack - 2.0 ** -520)
+
     return Objective(dim=d, eval_fn=f, grad_fn=g, hvp_fn=hvp,
-                     exact_diag_fn=diag, num_samples=n)
+                     exact_diag_fn=diag, num_samples=n,
+                     grad_norm_floor_fn=grad_norm_floor)
 
 
 def make_synthetic_logistic(n: int, d: int, l2: float, seed: int,

@@ -1,6 +1,7 @@
 """Outer loop behavior: acceptance, rejection, determinism, saddle escape,
 and the SGD / Adam baselines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -226,7 +227,8 @@ def test_run_baseline_raises_once_its_iterate_diverges():
 
 def _counting(obj):
     """``obj`` with its loss, gradient and HVP calls counted, per callable
-    and per full-batch or batch call."""
+    and per full-batch or batch call, and without a gradient-norm floor, so
+    that every stop test takes the full-batch gradient."""
     counts = {}
 
     def counted(kind, fn):
@@ -323,3 +325,90 @@ def test_full_batch_run_calls_each_layer_once_per_iteration(monkeypatch):
     traj = run(make_rosenbrock(2), np.array([-1.2, 1.0]), CFG, 60)
     assert len(traj.records) == 60 and traj.records == plain.records
     assert counts == {"hutchinson_diag": 60, "root_finder": 60}
+
+
+# ---------------------------------------------------------------------------
+# the minibatch stop test with a gradient-norm floor
+# ---------------------------------------------------------------------------
+
+def _minibatch_run(obj, optimizer, stop, iters=200):
+    x0 = np.zeros(obj.dim)
+    if optimizer == "adacubic":
+        return run(obj, x0, CFG, iters, 16, stop, seed=2)
+    return run_baseline(obj, x0, optimizer, 0.1, iters, 16, stop, seed=2)
+
+
+@pytest.mark.parametrize("optimizer", ["adacubic", "sgd", "adam"])
+def test_minibatch_stop_is_the_same_with_and_without_the_floor(optimizer):
+    obj = make_synthetic_logistic(400, 5, 1e-2, 3)
+    plain = dataclasses.replace(obj, grad_norm_floor_fn=None)
+    # the full-batch gradient norm at each point of a run that never stops
+    norms = []
+
+    def recorded(w, batch=None):
+        g = obj.grad_fn(w, batch)
+        if batch is None:
+            norms.append(math.sqrt(g @ g))
+        return g
+
+    _minibatch_run(dataclasses.replace(plain, grad_fn=recorded), optimizer, 0.0)
+    # the smallest norm after x0 stops the runs below at its point, k > 0
+    stop = min(norms[1:])
+    assert norms[0] > 4.0 * stop
+    counted, counts = _counting(obj)
+    without = _minibatch_run(plain, optimizer, stop)
+    with_floor = _minibatch_run(
+        dataclasses.replace(counted, grad_norm_floor_fn=obj.grad_norm_floor_fn),
+        optimizer, stop)
+    assert 0 < len(with_floor.records) < 200
+    # repr, exact for floats, also matches the baselines' NaN fields
+    assert repr(with_floor.records) == repr(without.records)
+    np.testing.assert_array_equal(with_floor.final_x, without.final_x)
+    # the floor skipped the full-batch gradient at some points, not all
+    assert 1 < counts[("grad", "full")] < _full_gradients(with_floor, 200)
+
+
+@pytest.mark.parametrize("stop", [1e-6, 0.02])
+def test_minibatch_run_takes_full_gradients_only_where_the_floor_certifies_nothing(stop):
+    obj = make_synthetic_logistic(400, 5, 1e-2, 3)
+    for optimizer in ("adacubic", "sgd", "adam"):
+        floors, full = [], []
+
+        def floor(w):
+            floors.append((w.copy(), obj.grad_norm_floor_fn(w)))
+            return floors[-1][1]
+
+        def grad(w, batch=None):
+            if batch is None:
+                full.append(w.copy())
+            return obj.grad_fn(w, batch)
+
+        traj = _minibatch_run(dataclasses.replace(obj, grad_fn=grad,
+                                                  grad_norm_floor_fn=floor),
+                              optimizer, stop, iters=60)
+        # one floor at each point where an iteration starts, and a full-batch
+        # gradient only at those whose floor proves nothing
+        assert len(floors) == _full_gradients(traj, 60)
+        uncertified = [w for w, value in floors if not value > 2.0 * stop + 2.0 ** -500]
+        assert len(full) == len(uncertified)
+        for got, want in zip(full, uncertified):
+            np.testing.assert_array_equal(got, want)
+        if stop == 1e-6:  # the benchmark's threshold: only x0 = 0 is tested
+            assert len(full) == 1 and not full[0].any()
+
+
+def test_a_full_batch_run_never_asks_for_a_floor():
+    # its step needs the gradient anyway
+    calls = []
+    obj = dataclasses.replace(make_synthetic_logistic(80, 3, 1e-2, 4),
+                              grad_norm_floor_fn=lambda w: calls.append(1) or 1.0)
+    assert len(run(obj, np.ones(3), CFG, 20).records) == 20
+    assert len(run_baseline(obj, np.ones(3), "sgd", 0.1, 20).records) == 20
+    assert calls == []
+
+
+@pytest.mark.parametrize("x0", [[math.nan, 0.0, 0.0], [math.inf, 1.0, 1.0]])
+def test_a_non_finite_point_gets_no_certificate_and_raises(x0):
+    obj = make_synthetic_logistic(40, 3, 1e-2, 1)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        run_baseline(obj, np.array(x0), "sgd", 0.1, 5, batch_size=8)

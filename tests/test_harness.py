@@ -133,6 +133,28 @@ kind = adam
      "problem.p: data_seed must be an integer >= 0, got 1.5"),
     ("[problem.p]\nkind = logistic\ndata_seed = -1\n[optimizer.o]\nkind = sgd",
      "problem.p: data_seed must be an integer >= 0, got -1"),
+    # NaN and infinity fail every problem value check
+    ("[problem.p]\nkind = logistic\nl2 = nan\n[optimizer.o]\nkind = sgd",
+     "problem.p: need 0 <= l2 < inf, got nan"),
+    ("[problem.p]\nkind = logistic\nl2 = inf\n[optimizer.o]\nkind = sgd",
+     "problem.p: need 0 <= l2 < inf, got inf"),
+    ("[problem.p]\nkind = logistic\nl2 = -1\n[optimizer.o]\nkind = sgd",
+     "problem.p: need 0 <= l2 < inf, got -1"),
+    ("[problem.p]\nkind = quadratic\ndiag = nan,1\n[optimizer.o]\nkind = sgd",
+     "problem.p: diag must be finite"),
+    ("[problem.p]\nkind = quadratic\ndiag = 1,1\ng0 = 0,-inf\n[optimizer.o]\nkind = sgd",
+     "problem.p: g0 must be finite"),
+    ("[problem.p]\nkind = quadratic\ndiag = 1,1\nx0 = inf,1\n[optimizer.o]\nkind = sgd",
+     "problem.p: x0 must be finite"),
+    ("[problem.p]\nkind = rosenbrock\nx0 = nan,1\n[optimizer.o]\nkind = sgd",
+     "problem.p: x0 must be finite"),
+    # a data file sets the size of a logistic problem, so a size key is an error
+    ("[problem.p]\nkind = logistic\ndata = d.csv\ndim = 7\n[optimizer.o]\nkind = sgd",
+     "problem.p: 'dim' is ignored when 'data' is given"),
+    ("[problem.p]\nkind = logistic\ndata = d.csv\nn = 3\n[optimizer.o]\nkind = sgd",
+     "problem.p: 'n' is ignored when 'data' is given"),
+    ("[problem.p]\nkind = logistic\ndata = d.csv\ndata_seed = 1\n[optimizer.o]\nkind = sgd",
+     "problem.p: 'data_seed' is ignored when 'data' is given"),
     # the subproblem solver's tolerances are constants, not config keys
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nkappa_easy = 0.1",
      "optimizer.o: unknown key 'kappa_easy'"),

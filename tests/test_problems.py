@@ -1,6 +1,8 @@
 """Built-in objectives (HVPs against a central difference of the gradient),
 batching, and the brute-force subproblem reference."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,8 +116,9 @@ def test_logistic_label_validation():
     X = np.ones((3, 2))
     with pytest.raises(ValueError):
         make_logistic(X, np.array([1.0, 0.0, -1.0]))
-    with pytest.raises(ValueError):
-        make_logistic(X, np.array([1.0, -1.0, 1.0]), l2=-0.1)
+    for l2 in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="need 0 <= l2 < inf"):
+            make_logistic(X, np.array([1.0, -1.0, 1.0]), l2=l2)
 
 
 def test_batch_validation():
@@ -150,6 +153,59 @@ def test_logistic_batched_loss_consistency():
     w = np.array([0.1, -0.2, 0.3])
     parts = np.mean([obj.eval(w, np.array([i])) for i in range(30)])
     assert parts == pytest.approx(obj.eval(w), rel=1e-12)
+
+
+def _logistic_with_minimizer(n=2000, d=50, l2=1e-3, seed=5):
+    """A logistic problem with 5% flipped labels and its minimizer w*, from
+    Newton's method with the dense Hessian."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = np.sign(X @ rng.standard_normal(d))
+    y[rng.random(n) < 0.05] *= -1.0
+    obj = make_logistic(X, y, l2)
+    w = np.zeros(d)
+    for _ in range(30):
+        sig = 1.0 / (1.0 + np.exp(y * (X @ w)))
+        hess = (X.T * (sig * (1.0 - sig))) @ X / n + l2 * np.eye(d)
+        w = w - np.linalg.solve(hess, obj.grad(w))
+    return obj, w
+
+
+def test_grad_norm_floor_never_exceeds_the_computed_gradient_norm():
+    obj, w_star = _logistic_with_minimizer()
+    assert np.linalg.norm(obj.grad(w_star)) < 1e-15
+    rng = np.random.default_rng(6)
+    d = obj.dim
+    points = [rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 3) for _ in range(1000)]
+    points += [w_star + rng.standard_normal(d) * 10.0 ** rng.uniform(-12, -1)
+               for _ in range(1000)]
+    points += [w_star * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -3))
+               for _ in range(1000)]
+    ratios = []
+    with np.errstate(over="ignore"):  # exp(-m) overflows at the largest scales
+        for w in points:
+            g = obj.grad(w)
+            ratios.append(obj.grad_norm_floor(w) / math.sqrt(g @ g))
+    ratios = np.array(ratios).reshape(3, -1)
+    assert ratios.max() <= 1.0
+    # at large random points the gradient is nearly parallel to w, so the
+    # floor is within 1% of the norm there: a floor 1% higher breaks it
+    assert ratios[0].max() > 0.99
+    # the floor certifies most points of each group, but no point so close
+    # to w* that rounding could hide the sign of grad F . w
+    assert [(r > 0).mean() > 0.5 for r in ratios] == [True] * 3
+    assert obj.grad_norm_floor(w_star) == 0.0
+
+
+def test_grad_norm_floor_is_zero_without_a_certificate():
+    obj = make_synthetic_logistic(40, 3, 1e-2, 1)
+    with np.errstate(all="ignore"):
+        for w in ([0.0, 0.0, 0.0], [math.nan, 1.0, 1.0], [math.inf, 1.0, 1.0],
+                  [1e200, 0.0, 0.0], [1e-310, 0.0, 0.0]):
+            assert obj.grad_norm_floor(np.array(w)) == 0.0
+    assert obj.grad_norm_floor(np.ones(3)) > 0.0
+    # a problem without a floor has no certificate anywhere
+    assert make_rosenbrock(3).grad_norm_floor(np.ones(3) * 5.0) == 0.0
 
 
 def test_load_logistic_csv_roundtrip(tmp_path):

@@ -10,15 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from adacubic import (AdaCubicConfig, ShiftNotPositiveDefiniteError,
-                      SolverStallError, SubproblemStatus,
-                      brute_force_subproblem_min, dphi_dnu, hard_case_step,
-                      kkt_residual, phi, root_finder, subproblem)
+from adacubic import (ShiftNotPositiveDefiniteError, SolverStallError,
+                      SubproblemStatus, brute_force_subproblem_min, dphi_dnu,
+                      hard_case_step, kkt_residual, phi, root_finder, subproblem)
 from adacubic.subproblem import (KAPPA_EASY, KKT_TOL, MAX_NEWTON_ITERS,
                                  _shifted_solve)
 from adacubic.verify import random_instance
 
-EPS_M = AdaCubicConfig().eps_m  # the smallest xi a run solves at
+# the floor of the scaled instances' xi: part of the definition of that
+# instance family, whose solutions tests/golden.json pins, so it stays 1e-6
+# whatever the default eps_m of AdaCubicConfig
+EPS_M = 1e-6
 
 
 # ---------------------------------------------------------------------------
