@@ -67,8 +67,8 @@ class ExperimentConfig:
 
 
 def parse_value(raw: str):
-    """A config value as written: int, float, bool or string; a comma list
-    gives a list of them."""
+    """A config value as written: int, float or string; a comma list gives a
+    list of them."""
     raw = raw.strip()
     if "," in raw:
         return [parse_value(tok) for tok in raw.split(",") if tok.strip()]
@@ -77,8 +77,6 @@ def parse_value(raw: str):
             return cast(raw)
         except ValueError:
             pass
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
     return raw
 
 
@@ -117,8 +115,7 @@ def _apply_run_key(cfg: ExperimentConfig, key: str, value) -> None:
     elif key == "batch_size":
         cfg.batch_size = None if value == "full" else _checked_int(key, value)
     elif key == "stop_grad_norm":
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0.0 <= value < math.inf):  # NaN fails
+        if not (isinstance(value, (int, float)) and 0.0 <= value < math.inf):  # NaN fails
             raise ConfigError(f"need 0 <= stop_grad_norm < inf, got {value!r}")
         cfg.stop_grad_norm = float(value)
     elif key == "out":
@@ -184,7 +181,7 @@ def checked_seeds(value) -> list:
     if not seeds:
         raise ConfigError("seeds must be non-empty")
     for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        if not isinstance(seed, int) or seed < 0:
             raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
     return seeds
 
@@ -211,12 +208,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _as_array(value, key: str) -> np.ndarray:
-    if isinstance(value, list):
-        array = np.array([float(v) for v in value])
-    elif isinstance(value, (int, float)):
-        array = np.array([float(value)])
-    else:
+    """A number or list as a float array; a string in the list raises ValueError."""
+    if isinstance(value, str):
         raise ConfigError(f"{key}: expected a number or comma list")
+    array = np.array(value, dtype=float, ndmin=1)
     if not np.isfinite(array).all():
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return array

@@ -168,6 +168,10 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         callable needs it; einsum forms no n x d temporary."""
         return math.sqrt(float(np.einsum("ij,ij->i", X, X).max(initial=0.0)))
 
+    def sigmoid(m):  # 1 / (1 + exp(-m)), quietly 0 where exp(-m) overflows
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-m))
+
     def rows(batch):
         validate_batch(batch, n)
         if batch is None:
@@ -184,19 +188,19 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
     def g(w, batch=None):
         Xb, yb = rows(batch)
         m = -yb * (Xb @ w)
-        sig = 1.0 / (1.0 + np.exp(-m))
+        sig = sigmoid(m)
         return Xb.T @ (-yb * sig) / len(yb) + l2 * w
 
     def hvp(w, v, batch=None):
         Xb, yb = rows(batch)
         m = -yb * (Xb @ w)
-        sig = 1.0 / (1.0 + np.exp(-m))
+        sig = sigmoid(m)
         weights = sig * (1.0 - sig)
         return Xb.T @ (weights * (Xb @ v)) / len(yb) + l2 * v
 
     def diag(w):
         m = -y * (X @ w)
-        sig = 1.0 / (1.0 + np.exp(-m))
+        sig = sigmoid(m)
         weights = sig * (1.0 - sig)
         return (weights[:, None] * X ** 2).mean(axis=0) + l2
 
@@ -225,7 +229,8 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         if not (2.0 ** -1000 <= ww and R + l2 * norm_w < 2.0 ** 498):
             return 0.0
         m = -y * (X @ w)
-        p = m / (1.0 + np.exp(-m))  # sig(m) m
+        with np.errstate(over="ignore"):  # as in sigmoid
+            p = m / (1.0 + np.exp(-m))  # sig(m) m
         dot = float(p.mean()) + l2 * ww
         dot_slack = eps * ((n + 16) * float(np.abs(p).mean()) + d * R * norm_w
                            + (d + 4) * l2 * ww + abs(dot))
@@ -238,15 +243,14 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
                      grad_norm_floor_fn=grad_norm_floor)
 
 
-def make_synthetic_logistic(n: int, d: int, l2: float, seed: int,
-                            flip_fraction: float = 0.05) -> Objective:
-    """Separable gaussian-feature logistic problem with a few flipped labels."""
+def make_synthetic_logistic(n: int, d: int, l2: float, seed: int) -> Objective:
+    """Separable gaussian-feature logistic problem, each label flipped w.p. 0.05."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     w_true = rng.standard_normal(d)
     y = np.sign(X @ w_true)
     y[y == 0.0] = 1.0
-    flips = rng.random(n) < flip_fraction
+    flips = rng.random(n) < 0.05
     y[flips] *= -1.0
     return make_logistic(X, y, l2)
 
@@ -263,8 +267,10 @@ def load_logistic_csv(path: str, l2: float = 0.0) -> Objective:
 # Brute-force subproblem reference
 # ---------------------------------------------------------------------------
 
-def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float,
-                               resolution: int = 200) -> np.ndarray:
+BRUTE_FORCE_RESOLUTION = 200  # grid points per axis of the oracle below
+
+
+def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float) -> np.ndarray:
     """Grid minimizer of g^T s + 1/2 s^T Diag(b) s over ||s||_2^3 <= xi.
 
     Reference oracle for the dual-variable solver: a grid over the bounding
@@ -291,12 +297,11 @@ def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float,
     d = b.size
     if d > 3:
         raise ValueError("brute force oracle supports d <= 3 only")
-    if resolution < 200:
-        raise ValueError("resolution must be >= 200")
     if xi <= 0.0:
         raise ValueError("xi must be positive")
     r = xi ** (1.0 / 3.0)
     rr = r * r
+    resolution = BRUTE_FORCE_RESOLUTION
 
     axes = [np.linspace(-r, r, resolution)] * d
     # model and squared norm summed over every axis but the last, flattened

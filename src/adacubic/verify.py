@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import brute_force_subproblem_min
+from .problems import BRUTE_FORCE_RESOLUTION, brute_force_subproblem_min
 from .subproblem import KAPPA_EASY, dphi_dnu, kkt_residual, phi, root_finder
 
 
@@ -82,10 +82,10 @@ def kkt_suite(n: int = 500, seed: int = 12345) -> tuple:
     return "kkt", ok, detail
 
 
-def duality_suite(n: int = 100, seed: int = 777, resolution: int = 200,
-                  probes: int = 10000) -> tuple:
+def duality_suite(n: int = 100, seed: int = 777) -> tuple:
     """Agreement with the brute-force constrained minimizer, and global
     optimality of the step for the unconstrained cubic model at M = nu*."""
+    probes = 10000
     rng = np.random.default_rng(seed)
     ok = True
     worst_coord = 0.0
@@ -94,8 +94,8 @@ def duality_suite(n: int = 100, seed: int = 777, resolution: int = 200,
         b, g, xi = random_instance(rng, max_dim=3)
         r = xi ** (1.0 / 3.0)
         sol = root_finder(b, g, xi)
-        ref = brute_force_subproblem_min(b, g, xi, resolution)
-        coord_err = float(np.max(np.abs(sol.s - ref))) / (2.0 * r / resolution)
+        ref = brute_force_subproblem_min(b, g, xi)
+        coord_err = float(np.max(np.abs(sol.s - ref))) / (2.0 * r / BRUTE_FORCE_RESOLUTION)
         worst_coord = max(worst_coord, coord_err)
 
         deltas = rng.standard_normal((probes, b.size))

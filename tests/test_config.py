@@ -8,28 +8,27 @@ import pytest
 
 from adacubic import (AdaCubicConfig, IterationClass, adacubic_step,
                       make_quadratic, update_xi)
+from adacubic.config import ALPHA1, ALPHA2, ETA1, ETA2
 
 
 def test_default_hyperparameters():
     cfg = AdaCubicConfig()
-    assert cfg.eta1 == 0.05
-    assert cfg.eta2 == 0.75
-    assert cfg.alpha1 == 2.5
-    assert cfg.alpha2 == 0.25
     assert cfg.eps_m == 1e-6
     assert cfg.hutchinson_samples == 1
     assert cfg.xi0 == 1.0
-    # the subproblem solver's tolerances are constants of its module
-    assert len(dataclasses.fields(cfg)) == 7
+    # the trust-region rule's thresholds and factors, and the subproblem
+    # solver's tolerances, are constants of their modules
+    assert len(dataclasses.fields(cfg)) == 3
+    assert (ETA1, ETA2, ALPHA1, ALPHA2) == (0.05, 0.75, 2.5, 0.25)
+
+
+@pytest.mark.parametrize("name", ["eta1", "eta2", "alpha1", "alpha2"])
+def test_trust_region_constants_are_not_fields(name):
+    with pytest.raises(TypeError):
+        AdaCubicConfig(**{name: 0.5})
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"eta1": 0.0},
-    {"eta1": 0.8, "eta2": 0.5},
-    {"eta2": 1.0},
-    {"alpha1": 0.9},
-    {"alpha2": 0.0},
-    {"alpha2": 1.0},
     {"eps_m": 0.0},
     {"hutchinson_samples": 0},
     # NaN fails every check
@@ -50,11 +49,11 @@ def test_invalid_config_rejected(kwargs):
 
 def test_replace_returns_new_validated_config():
     cfg = AdaCubicConfig()
-    other = dataclasses.replace(cfg, eta2=0.9)
-    assert other.eta2 == 0.9
-    assert cfg.eta2 == 0.75
+    other = dataclasses.replace(cfg, xi0=0.5)
+    assert other.xi0 == 0.5
+    assert cfg.xi0 == 1.0
     with pytest.raises(ValueError):
-        dataclasses.replace(cfg, eta2=1.5)
+        dataclasses.replace(cfg, xi0=1e-7)
 
 
 def test_classify_iteration_branches():
@@ -66,7 +65,7 @@ def test_classify_iteration_branches():
     assert cls(0.9) is IterationClass.VERY_SUCCESSFUL
     assert cls(0.75) is IterationClass.VERY_SUCCESSFUL
     assert cls(0.3) is IterationClass.SUCCESSFUL
-    # boundary rho == eta1 counts as Successful (accepted, xi kept)
+    # boundary rho == ETA1 counts as Successful (accepted, xi kept)
     assert update_xi(0.1, 0.05, 0.2, cfg) == (IterationClass.SUCCESSFUL, 0.1)
     assert cls(0.01) is IterationClass.UNSUCCESSFUL
     assert cls(-1.0) is IterationClass.UNSUCCESSFUL
@@ -79,17 +78,17 @@ def test_classify_rejects_nan():
 
 def test_accept_step():
     # a step is accepted exactly when its class is not UNSUCCESSFUL, which
-    # is the paper's rule rho >= eta1, boundary included
+    # is the paper's rule rho >= ETA1, boundary included
     cfg = AdaCubicConfig()
     rhos = [0.5, 0.05, 0.049, -1.0] + [float(r) for r in np.linspace(-1.0, 1.5, 101)]
     for rho in rhos:
         cls, _ = update_xi(1.0, rho, 0.1, cfg)
-        assert (cls is not IterationClass.UNSUCCESSFUL) == (rho >= cfg.eta1)
+        assert (cls is not IterationClass.UNSUCCESSFUL) == (rho >= ETA1)
 
 
 def test_update_xi_branches():
     cfg = AdaCubicConfig()
-    # very successful: expand toward alpha1 * ||s||^3
+    # very successful: expand toward ALPHA1 * ||s||^3
     assert update_xi(0.1, 0.9, 0.2, cfg)[1] == pytest.approx(0.5)
     # successful: keep
     assert update_xi(0.1, 0.3, 0.2, cfg)[1] == 0.1

@@ -11,6 +11,7 @@ from adacubic import (AdaCubicConfig, IterationClass, Objective,
                       SubproblemStatus, adacubic_step, adam_step, driver,
                       make_quadratic, make_rosenbrock, make_saddle,
                       make_synthetic_logistic, rho, run, run_baseline, sgd_step)
+from adacubic.config import ALPHA2, ETA1
 
 CFG = AdaCubicConfig()
 
@@ -70,7 +71,7 @@ def test_rejected_step_keeps_point_and_shrinks_xi():
     assert not rec.accepted
     assert rec.status is IterationClass.UNSUCCESSFUL
     np.testing.assert_array_equal(x_new, x)
-    assert xi_new == max(CFG.alpha2 * rec.step_norm ** 3, CFG.eps_m)
+    assert xi_new == max(ALPHA2 * rec.step_norm ** 3, CFG.eps_m)
 
 
 def test_degenerate_stationary_step_is_terminal_record():
@@ -112,7 +113,7 @@ def test_records_are_gapless_and_xi_floored():
     traj = run(obj, np.array([-1.2, 1.0]), CFG, 60)
     assert [r.iteration for r in traj.records] == list(range(len(traj.records)))
     assert all(r.xi >= CFG.eps_m for r in traj.records)
-    assert all(r.accepted == (r.rho >= CFG.eta1) for r in traj.records
+    assert all(r.accepted == (r.rho >= ETA1) for r in traj.records
                if not math.isnan(r.rho))
 
 

@@ -78,8 +78,17 @@ kind = adam
      "optimizer.o: unknown key 'lr'"),
     ("[problem.p]\nkind = rosenbrock\ndiim = 7\n[optimizer.o]\nkind = sgd",
      "problem.p: unknown key 'diim'"),
-    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\neta1 = 2",
-     "optimizer.o: need 0 < eta1"),
+    # true and false are not values: no key takes a boolean
+    ("[problem.p]\nkind = quadratic\ndiag = true\n[optimizer.o]\nkind = sgd",
+     "problem.p: diag: expected a number or comma list"),
+    ("[problem.p]\nkind = quadratic\nx0 = false\n[optimizer.o]\nkind = sgd",
+     "problem.p: x0: expected a number or comma list"),
+    ("[problem.p]\nkind = logistic\nl2 = true\n[optimizer.o]\nkind = sgd",
+     "problem.p: could not convert string to float: 'true'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = true",
+     "optimizer.o: lr must be a number, got 'true'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = true",
+     "optimizer.o:"),
     # every value of a section is converted and range-checked at load
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = abc",
      "optimizer.o: lr must be a number"),
@@ -162,6 +171,15 @@ kind = adam
      "optimizer.o: unknown key 'kkt_tol'"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nmax_newton_iters = 50",
      "optimizer.o: unknown key 'max_newton_iters'"),
+    # so are the trust-region rule's thresholds and factors
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\neta1 = 0.5",
+     "optimizer.o: unknown key 'eta1'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\neta2 = 0.5",
+     "optimizer.o: unknown key 'eta2'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nalpha1 = 2",
+     "optimizer.o: unknown key 'alpha1'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nalpha2 = 0.5",
+     "optimizer.o: unknown key 'alpha2'"),
 ])
 def test_config_errors_name_offender(text, fragment):
     with pytest.raises(ConfigError) as err:

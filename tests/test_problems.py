@@ -2,6 +2,7 @@
 batching, and the brute-force subproblem reference."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from adacubic import (brute_force_subproblem_min, draw_batch,
                       load_logistic_csv, make_logistic, make_quadratic,
                       make_rosenbrock, make_saddle, make_synthetic_logistic)
-from adacubic.problems import validate_batch
+from adacubic.problems import BRUTE_FORCE_RESOLUTION, validate_batch
 
 
 def test_quadratic_values():
@@ -182,10 +183,9 @@ def test_grad_norm_floor_never_exceeds_the_computed_gradient_norm():
     points += [w_star * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -3))
                for _ in range(1000)]
     ratios = []
-    with np.errstate(over="ignore"):  # exp(-m) overflows at the largest scales
-        for w in points:
-            g = obj.grad(w)
-            ratios.append(obj.grad_norm_floor(w) / math.sqrt(g @ g))
+    for w in points:
+        g = obj.grad(w)
+        ratios.append(obj.grad_norm_floor(w) / math.sqrt(g @ g))
     ratios = np.array(ratios).reshape(3, -1)
     assert ratios.max() <= 1.0
     # at large random points the gradient is nearly parallel to w, so the
@@ -195,6 +195,31 @@ def test_grad_norm_floor_never_exceeds_the_computed_gradient_norm():
     # to w* that rounding could hide the sign of grad F . w
     assert [(r > 0).mean() > 0.5 for r in ratios] == [True] * 3
     assert obj.grad_norm_floor(w_star) == 0.0
+
+
+def test_logistic_sigmoid_overflow_is_silent_and_exact():
+    # where m = -y (X w) < -709.78, exp(-m) overflows to inf and sigma(m) is
+    # exactly 0: the oracle warns nowhere, and each value is bit for bit the
+    # plain formula 1 / (1 + exp(-m))
+    rng = np.random.default_rng(11)
+    n, d, l2 = 40, 3, 1e-2
+    X = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    obj = make_logistic(X, y, l2)
+    w, v = 1e3 * rng.standard_normal(d), rng.standard_normal(d)
+    m = -y * (X @ w)
+    assert m.min() < -710.0 and m.max() > 710.0
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-m))
+    weights = sig * (1.0 - sig)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, hv = obj.grad(w), obj.hvp(w, v)
+        diag, floor = obj.exact_diag_hessian(w), obj.grad_norm_floor(w)
+    np.testing.assert_array_equal(g, X.T @ (-y * sig) / n + l2 * w)
+    np.testing.assert_array_equal(hv, X.T @ (weights * (X @ v)) / n + l2 * v)
+    np.testing.assert_array_equal(diag, (weights[:, None] * X ** 2).mean(axis=0) + l2)
+    assert 0.0 < floor <= math.sqrt(g @ g)
 
 
 def test_grad_norm_floor_is_zero_without_a_certificate():
@@ -257,12 +282,10 @@ def test_brute_force_input_validation():
     with pytest.raises(ValueError):
         brute_force_subproblem_min(np.ones(4), np.ones(4), 1.0)
     with pytest.raises(ValueError):
-        brute_force_subproblem_min(np.ones(2), np.ones(2), 1.0, resolution=50)
-    with pytest.raises(ValueError):
         brute_force_subproblem_min(np.ones(2), np.ones(2), 0.0)
 
 
-def _dense_brute_force(b, g, xi, resolution=200):
+def _dense_brute_force(b, g, xi, resolution=BRUTE_FORCE_RESOLUTION):
     """The brute-force oracle with its grid held whole, as one dense
     resolution^d array: the reference for its slab-by-slab evaluation."""
     d = b.size
