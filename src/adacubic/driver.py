@@ -54,8 +54,9 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     gradient at x on it.  The full-batch loss and gradient at a point are
     each computed at most once, when an iteration first needs them; a
     minibatch run skips the gradient where ``obj.grad_norm_floor`` proves
-    the test fails.  A non-finite stop-check gradient norm raises
-    ``FloatingPointError``.
+    the test fails, and the floor where the last such floor and
+    ``obj.grad_lipschitz_fn`` prove it.  A non-finite stop-check gradient
+    norm raises ``FloatingPointError``.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -64,16 +65,36 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     full_batch = batch_size is None or obj.num_samples == 0
     loss = g_full = None  # the full-batch loss and gradient at x, once computed
     certified = False  # whether a floor proved that the stop test at x fails
+    threshold = 2.0 * stop_grad_norm + 2.0 ** -500
+    spread = 1.0 + (x.size + 8) * float(np.finfo(float).eps)
+    anchor = None  # (x_a, floor at x_a) of the last floor above the threshold
+
+    def certifies(x):
+        # A bound B <= ||g|| with ||g|| < 2^500 (the oracle's promise) and
+        # B > 2 stop_grad_norm + 2^-500 proves that the stop test would
+        # fail: ||g||^2 > 2^-1000 is then a normal number, g @ g is within
+        # d u relative of it plus d 2^-1074 for the squares that underflow,
+        # and so sqrt(g @ g) > ||g|| / 2 > stop_grad_norm, finite.  B is the
+        # anchor's floor less L ||x - x_a|| (grad_lipschitz_fn's promise) if
+        # that proves it, else the floor at x, the new anchor if it proves it
+        # (a lower one could prove nothing).  `reach` >= L ||x - x_a||, as
+        # dx, dx @ dx, sqrt and the products add (d + 4) u relative and the
+        # underflow sqrt(d 2^-1074); nextafter rounds the subtraction down.
+        nonlocal anchor
+        if anchor is not None and obj.grad_lipschitz_fn is not None:
+            dx = x - anchor[0]
+            reach = obj.grad_lipschitz_fn() * (math.sqrt(dx @ dx) * spread + 2.0 ** -500)
+            if math.nextafter(anchor[1] - reach, -math.inf) > threshold:
+                return True
+        floor = obj.grad_norm_floor(x)
+        if floor > threshold:
+            anchor = (x, floor)
+        return floor > threshold
+
     for k in range(max_iters):
         if g_full is None and not certified:
-            # A floor L <= ||g|| with ||g|| < 2^500 (the oracle's promise)
-            # and L > 2 stop_grad_norm + 2^-500 proves that the test below
-            # would fail: ||g||^2 > 2^-1000 is then a normal number, g @ g
-            # is within d u relative of it plus d 2^-1074 for the squares
-            # that underflow, and so sqrt(g @ g) > ||g|| / 2 > stop_grad_norm,
-            # finite.  A full-batch step needs the gradient anyway.
-            certified = (not full_batch and
-                         obj.grad_norm_floor(x) > 2.0 * stop_grad_norm + 2.0 ** -500)
+            # a full-batch step needs the gradient anyway
+            certified = not full_batch and certifies(x)
             if not certified:
                 g_full = obj.grad(x)
                 # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm

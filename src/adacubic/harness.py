@@ -117,11 +117,20 @@ def _apply_run_key(cfg: ExperimentConfig, key: str, value) -> None:
     elif key == "stop_grad_norm":
         if not (isinstance(value, (int, float)) and 0.0 <= value < math.inf):  # NaN fails
             raise ConfigError(f"need 0 <= stop_grad_norm < inf, got {value!r}")
-        cfg.stop_grad_norm = float(value)
+        cfg.stop_grad_norm = _as_float(key, value)
     elif key == "out":
         cfg.out = str(value)
     else:
         raise ConfigError(f"unknown [run] key: {key}")
+
+
+def _as_float(key: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is too large for a float") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
 def _checked_int(key: str, value, least: int = 1) -> int:
@@ -159,13 +168,11 @@ def _hyperparameters(params: dict):
     keyword arguments (floats, lr included) for sgd and adam."""
     values = {k: v for k, v in params.items() if k != "kind"}
     if params["kind"] == "adacubic":
-        return AdaCubicConfig(**values)
+        return AdaCubicConfig(**{k: v if k == "hutchinson_samples" else _as_float(k, v)
+                                 for k, v in values.items()})
     hyper = {}
     for key, raw in values.items():
-        try:
-            value = hyper[key] = float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+        value = hyper[key] = _as_float(key, raw)
         if key in ("lr", "eps"):
             if not (0.0 < value < math.inf):
                 raise ConfigError(f"need 0 < {key} < inf, got {value}")
@@ -194,7 +201,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name, params in cfg.problems.items():
         try:
             obj, _ = cfg.built_problem(params)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"problem.{name}: {err}") from None
         if cfg.batch_size is not None and 0 < obj.num_samples < cfg.batch_size:
             raise ConfigError(f"problem.{name}: [run] batch_size = {cfg.batch_size} "
@@ -208,10 +215,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _as_array(value, key: str) -> np.ndarray:
-    """A number or list as a float array; a string in the list raises ValueError."""
-    if isinstance(value, str):
-        raise ConfigError(f"{key}: expected a number or comma list")
-    array = np.array(value, dtype=float, ndmin=1)
+    """A number or list as a float array, converted in one numpy call."""
+    try:
+        array = np.array(value, dtype=float, ndmin=1)
+    except OverflowError:
+        raise ConfigError(f"{key} has a value too large for a float") from None
+    except (TypeError, ValueError):  # a word, alone or in the list
+        raise ConfigError(f"{key}: expected a number or comma list") from None
     if not np.isfinite(array).all():
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return array
@@ -233,7 +243,7 @@ def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
         obj = make_saddle()
         x0 = _as_array(params.get("x0", [0.0, 0.0]), "x0")
     else:  # logistic
-        l2 = float(params.get("l2", 0.0))
+        l2 = _as_float("l2", params.get("l2", 0.0))
         if "data" in params:
             for key in ("n", "dim", "data_seed"):
                 if key in params:

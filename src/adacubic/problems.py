@@ -29,6 +29,9 @@ class Objective:
     # a number at most the 2-norm of grad(x) as grad_fn computes it, from one
     # pass over the data; a positive one also promises that norm is below 2^500
     grad_norm_floor_fn: Callable[[np.ndarray], float] | None = None
+    # an L with ||grad(y)|| >= grad_norm_floor(x) - L ||y - x|| for all x, y,
+    # grad as grad_fn computes it, and ||grad(y)|| < 2^500 where that is positive
+    grad_lipschitz_fn: Callable[[], float] | None = None
 
     def eval(self, x: np.ndarray, batch: Batch = None) -> float:
         return float(self.eval_fn(np.asarray(x, dtype=float), batch))
@@ -168,6 +171,26 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         callable needs it; einsum forms no n x d temporary."""
         return math.sqrt(float(np.einsum("ij,ij->i", X, X).max(initial=0.0)))
 
+    @functools.cache
+    def grad_lipschitz() -> float:
+        """The L of the anchor certificate; O(n d^2), so made on first use."""
+        # ||Hessian of F|| <= L_F = lambda_max(X^T X) / (4n) + l2 as sig' <=
+        # 1/4, and lambda_max is at most the largest absolute row sum of X^T X,
+        # which fl(X^T X) is within gamma_n c_i sum(c) of, c the column norms
+        # (from its diagonal); (n + d + 16) eps covers that and the sums'
+        # rounding, 1 + 8 eps the rest.  With e(w) = a + b ||w|| bounding
+        # ||grad(w) - grad F(w)||, floor(x) <= ||grad F(x)|| - e(x), so
+        # ||grad(y)|| >= floor(x) - (L_F + b) ||y - x||, and b is below half
+        # grad_slack's ||w|| coefficient, added here.  Where that is positive,
+        # l2 ||y - x|| < floor(x) < 2^498, the floor's bound on R + l2 ||x||,
+        # so ||grad(y)|| <= (R + l2 ||y||)(1 + d eps) < 2^500.
+        gram = X.T @ X
+        c = np.sqrt(np.diag(gram))
+        rows = np.abs(gram).sum(axis=1) + (n + d + 16) * eps * float(c.sum()) * c
+        R = row_max()
+        return ((float(rows.max(initial=0.0)) / (4 * n) + l2
+                 + eps * (d * R * R + 2.0 * l2)) * (1.0 + 8.0 * eps))
+
     def sigmoid(m):  # 1 / (1 + exp(-m)), quietly 0 where exp(-m) overflows
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-m))
@@ -240,7 +263,7 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
 
     return Objective(dim=d, eval_fn=f, grad_fn=g, hvp_fn=hvp,
                      exact_diag_fn=diag, num_samples=n,
-                     grad_norm_floor_fn=grad_norm_floor)
+                     grad_norm_floor_fn=grad_norm_floor, grad_lipschitz_fn=grad_lipschitz)
 
 
 def make_synthetic_logistic(n: int, d: int, l2: float, seed: int) -> Objective:

@@ -342,7 +342,7 @@ def _minibatch_run(obj, optimizer, stop, iters=200):
 @pytest.mark.parametrize("optimizer", ["adacubic", "sgd", "adam"])
 def test_minibatch_stop_is_the_same_with_and_without_the_floor(optimizer):
     obj = make_synthetic_logistic(400, 5, 1e-2, 3)
-    plain = dataclasses.replace(obj, grad_norm_floor_fn=None)
+    plain = dataclasses.replace(obj, grad_norm_floor_fn=None, grad_lipschitz_fn=None)
     # the full-batch gradient norm at each point of a run that never stops
     norms = []
 
@@ -358,13 +358,18 @@ def test_minibatch_stop_is_the_same_with_and_without_the_floor(optimizer):
     assert norms[0] > 4.0 * stop
     counted, counts = _counting(obj)
     without = _minibatch_run(plain, optimizer, stop)
+    # the floor alone, and the floor with the anchor certificate
+    floor_only = _minibatch_run(dataclasses.replace(obj, grad_lipschitz_fn=None),
+                                optimizer, stop)
     with_floor = _minibatch_run(
-        dataclasses.replace(counted, grad_norm_floor_fn=obj.grad_norm_floor_fn),
+        dataclasses.replace(counted, grad_norm_floor_fn=obj.grad_norm_floor_fn,
+                            grad_lipschitz_fn=obj.grad_lipschitz_fn),
         optimizer, stop)
     assert 0 < len(with_floor.records) < 200
-    # repr, exact for floats, also matches the baselines' NaN fields
-    assert repr(with_floor.records) == repr(without.records)
-    np.testing.assert_array_equal(with_floor.final_x, without.final_x)
+    for traj in (floor_only, with_floor):
+        # repr, exact for floats, also matches the baselines' NaN fields
+        assert repr(traj.records) == repr(without.records)
+        np.testing.assert_array_equal(traj.final_x, without.final_x)
     # the floor skipped the full-batch gradient at some points, not all
     assert 1 < counts[("grad", "full")] < _full_gradients(with_floor, 200)
 
@@ -372,28 +377,65 @@ def test_minibatch_stop_is_the_same_with_and_without_the_floor(optimizer):
 @pytest.mark.parametrize("stop", [1e-6, 0.02])
 def test_minibatch_run_takes_full_gradients_only_where_the_floor_certifies_nothing(stop):
     obj = make_synthetic_logistic(400, 5, 1e-2, 3)
+    lipschitz, threshold = obj.grad_lipschitz_fn(), 2.0 * stop + 2.0 ** -500
     for optimizer in ("adacubic", "sgd", "adam"):
-        floors, full = [], []
+        calls = []  # (kind, point, floor) of each floor and each gradient
 
         def floor(w):
-            floors.append((w.copy(), obj.grad_norm_floor_fn(w)))
-            return floors[-1][1]
+            calls.append(("floor", w.copy(), obj.grad_norm_floor_fn(w)))
+            return calls[-1][2]
 
         def grad(w, batch=None):
-            if batch is None:
-                full.append(w.copy())
+            calls.append(("full" if batch is None else "batch", w.copy(), None))
             return obj.grad_fn(w, batch)
 
         traj = _minibatch_run(dataclasses.replace(obj, grad_fn=grad,
                                                   grad_norm_floor_fn=floor),
                               optimizer, stop, iters=60)
-        # one floor at each point where an iteration starts, and a full-batch
-        # gradient only at those whose floor proves nothing
-        assert len(floors) == _full_gradients(traj, 60)
-        uncertified = [w for w, value in floors if not value > 2.0 * stop + 2.0 ** -500]
-        assert len(full) == len(uncertified)
-        for got, want in zip(full, uncertified):
-            np.testing.assert_array_equal(got, want)
+        # replay the run: each iteration ends its calls with one batch
+        # gradient, and the stop test runs at each point where one starts,
+        # and at the last point of a run that stops before its budget
+        iterations, pending = [], []  # (point, its calls before the batch's)
+        for call in calls:
+            if call[0] == "batch":
+                iterations.append((call[1], pending))
+                pending = []
+            else:
+                pending.append(call)
+        recs = traj.records
+        assert len(iterations) == len(recs)
+        starts = [it for k, it in enumerate(iterations) if k == 0 or recs[k - 1].accepted]
+        assert all(not seen for k, (_, seen) in enumerate(iterations)
+                   if k > 0 and not recs[k - 1].accepted)
+        if len(recs) < 60:
+            starts.append((traj.final_x, pending))
+        else:
+            assert pending == []
+        anchor, floors, full = None, 0, []
+        for x, seen in starts:
+            # the anchor bound with plain rounding, which the driver's bound
+            # rounds down from
+            bound = (-math.inf if anchor is None else
+                     anchor[1] - lipschitz * float(np.linalg.norm(x - anchor[0])))
+            if not seen:  # the anchor certifies x: no floor, no gradient
+                assert bound > threshold
+                continue
+            # a floor only where the anchor certifies nothing, and a
+            # full-batch gradient only where the floor does not either
+            assert bound <= threshold + 1e-12 * abs(bound)
+            (kind, w, value), *rest = seen
+            floors += 1
+            assert kind == "floor"
+            np.testing.assert_array_equal(w, x)
+            if value > threshold:  # the floor certifies x and is the anchor
+                assert rest == []
+                anchor = (x, value)
+            else:
+                assert [c[0] for c in rest] == ["full"]
+                np.testing.assert_array_equal(rest[0][1], x)
+                full.append(x)
+        if optimizer == "sgd":
+            assert floors < len(starts) / 2
         if stop == 1e-6:  # the benchmark's threshold: only x0 = 0 is tested
             assert len(full) == 1 and not full[0].any()
 
@@ -402,7 +444,8 @@ def test_a_full_batch_run_never_asks_for_a_floor():
     # its step needs the gradient anyway
     calls = []
     obj = dataclasses.replace(make_synthetic_logistic(80, 3, 1e-2, 4),
-                              grad_norm_floor_fn=lambda w: calls.append(1) or 1.0)
+                              grad_norm_floor_fn=lambda w: calls.append("floor") or 1.0,
+                              grad_lipschitz_fn=lambda: calls.append("L") or 1.0)
     assert len(run(obj, np.ones(3), CFG, 20).records) == 20
     assert len(run_baseline(obj, np.ones(3), "sgd", 0.1, 20).records) == 20
     assert calls == []

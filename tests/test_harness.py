@@ -14,6 +14,8 @@ from adacubic.harness import (ConfigError, SUMMARY_HEADER, TRAJECTORY_HEADER,
                               measure_subsample_deviation, run_experiment)
 from adacubic.problems import make_synthetic_logistic
 
+HUGE = "9" * 400  # an integer beyond the largest float, about 1.8e308
+
 BASIC = """
 [run]
 seeds = 0,1,2
@@ -84,11 +86,11 @@ kind = adam
     ("[problem.p]\nkind = quadratic\nx0 = false\n[optimizer.o]\nkind = sgd",
      "problem.p: x0: expected a number or comma list"),
     ("[problem.p]\nkind = logistic\nl2 = true\n[optimizer.o]\nkind = sgd",
-     "problem.p: could not convert string to float: 'true'"),
+     "problem.p: l2 must be a number, got 'true'"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = true",
      "optimizer.o: lr must be a number, got 'true'"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = true",
-     "optimizer.o:"),
+     "optimizer.o: xi0 must be a number, got 'true'"),
     # every value of a section is converted and range-checked at load
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = abc",
      "optimizer.o: lr must be a number"),
@@ -105,7 +107,28 @@ kind = adam
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = -1",
      "optimizer.o: need eps_m <= xi0"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = abc",
-     "optimizer.o:"),
+     "optimizer.o: xi0 must be a number, got 'abc'"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\neps_m = abc",
+     "optimizer.o: eps_m must be a number, got 'abc'"),
+    ("[problem.p]\nkind = logistic\nl2 = abc\n[optimizer.o]\nkind = sgd",
+     "problem.p: l2 must be a number, got 'abc'"),
+    ("[problem.p]\nkind = saddle\nx0 = 1,abc\n[optimizer.o]\nkind = sgd",
+     "problem.p: x0: expected a number or comma list"),
+    # a number too large for a float is an error at load, not at run time
+    (f"[problem.p]\nkind = saddle\nx0 = {HUGE},1\n[optimizer.o]\nkind = sgd",
+     "problem.p: x0 has a value too large for a float"),
+    (f"[problem.p]\nkind = quadratic\ndiag = 1,{HUGE}\n[optimizer.o]\nkind = sgd",
+     "problem.p: diag has a value too large for a float"),
+    (f"[problem.p]\nkind = logistic\nl2 = {HUGE}\n[optimizer.o]\nkind = sgd",
+     "problem.p: l2 is too large for a float"),
+    (f"[run]\nstop_grad_norm = {HUGE}\n[problem.p]\nkind = saddle\n[optimizer.o]\n"
+     "kind = sgd", "stop_grad_norm is too large for a float"),
+    (f"[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = {HUGE}",
+     "optimizer.o: xi0 is too large for a float"),
+    (f"[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\neps_m = {HUGE}",
+     "optimizer.o: eps_m is too large for a float"),
+    (f"[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = {HUGE}",
+     "optimizer.o: lr is too large for a float"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\n"
      "hutchinson_samples = 2.5", "optimizer.o: hutchinson_samples"),
     ("[run]\nseeds = -1\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",

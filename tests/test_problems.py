@@ -157,8 +157,8 @@ def test_logistic_batched_loss_consistency():
 
 
 def _logistic_with_minimizer(n=2000, d=50, l2=1e-3, seed=5):
-    """A logistic problem with 5% flipped labels and its minimizer w*, from
-    Newton's method with the dense Hessian."""
+    """A logistic problem with 5% flipped labels, its minimizer w*, from
+    Newton's method with the dense Hessian, and its features."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     y = np.sign(X @ rng.standard_normal(d))
@@ -169,11 +169,11 @@ def _logistic_with_minimizer(n=2000, d=50, l2=1e-3, seed=5):
         sig = 1.0 / (1.0 + np.exp(y * (X @ w)))
         hess = (X.T * (sig * (1.0 - sig))) @ X / n + l2 * np.eye(d)
         w = w - np.linalg.solve(hess, obj.grad(w))
-    return obj, w
+    return obj, w, X
 
 
 def test_grad_norm_floor_never_exceeds_the_computed_gradient_norm():
-    obj, w_star = _logistic_with_minimizer()
+    obj, w_star, _ = _logistic_with_minimizer()
     assert np.linalg.norm(obj.grad(w_star)) < 1e-15
     rng = np.random.default_rng(6)
     d = obj.dim
@@ -195,6 +195,38 @@ def test_grad_norm_floor_never_exceeds_the_computed_gradient_norm():
     # to w* that rounding could hide the sign of grad F . w
     assert [(r > 0).mean() > 0.5 for r in ratios] == [True] * 3
     assert obj.grad_norm_floor(w_star) == 0.0
+
+
+def test_grad_lipschitz_bounds_the_gradient_norm_from_a_floor_elsewhere():
+    # the promise: ||grad(y)|| >= floor(x) - L ||y - x|| for all x, y
+    obj, w_star, X = _logistic_with_minimizer()
+    n, d = X.shape
+    L = obj.grad_lipschitz_fn()
+    assert L >= np.linalg.eigvalsh(X.T @ X)[-1] / (4 * n) + 1e-3
+    rng = np.random.default_rng(7)
+
+    def near(w, scale):  # a point at a random distance 10^scale from w
+        return w + rng.standard_normal(d) * 10.0 ** rng.uniform(*scale) / math.sqrt(d)
+
+    pairs = []  # three groups of 1000 (x, y), at many scales
+    for _ in range(1000):
+        x = rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 3)
+        pairs.append((x, near(x, (-12, 1))))
+    for _ in range(1000):  # where the floor fades: x and y near w*
+        x = near(w_star, (-7, 0))
+        pairs.append((x, near(x, (-14, 0))))
+    for _ in range(1000):  # from near w* part of the way toward it
+        x = near(w_star, (-7, 0))
+        pairs.append((x, x + (w_star - x) * 10.0 ** rng.uniform(-6, 0)))
+    bounds = []
+    for x, y in pairs:
+        g = obj.grad(y)
+        bound = obj.grad_norm_floor(x) - L * float(np.linalg.norm(y - x))
+        assert math.sqrt(g @ g) >= bound
+        bounds.append(bound)
+    # the bound proves something in each group, not everywhere
+    positive = (np.array(bounds).reshape(3, -1) > 0.0).mean(axis=1)
+    assert all(0.1 < share < 0.9 for share in positive), positive
 
 
 def test_logistic_sigmoid_overflow_is_silent_and_exact():
