@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -38,8 +39,11 @@ class AdaCubicConfig:
         if not (self.eps_m > 0.0):
             raise ValueError(f"eps_m must be positive, got {self.eps_m}")
         count = self.hutchinson_samples
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ValueError(f"hutchinson_samples must be an integer >= 1, got {count!r}")
+        # sys.maxsize is the largest probe count itertools.islice accepts
+        if (isinstance(count, bool) or not isinstance(count, int)
+                or not 1 <= count <= sys.maxsize):
+            raise ValueError("hutchinson_samples must be an integer in "
+                             f"[1, sys.maxsize], got {count!r}")
         if not (self.eps_m <= self.xi0 < math.inf):
             raise ValueError(f"need eps_m <= xi0 < inf, got {self.xi0}")
 

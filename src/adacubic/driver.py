@@ -47,63 +47,36 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
              rng: np.random.Generator, step, curvature_ok=None) -> Trajectory:
     """The iteration loop of :func:`run` and :func:`run_baseline`.
 
-    An iteration stops the run when the full-batch gradient norm at x is at
-    most ``stop_grad_norm`` (and ``curvature_ok(x)``, if given); otherwise it
-    draws a batch from ``rng`` unless the run is full-batch and calls
+    The stop test runs at each iteration k with k % e == 0: at every
+    iteration of a full-batch run (e = 1), and at each epoch boundary of a
+    minibatch one, e = ceil(num_samples / batch_size).  It stops the run
+    when the full-batch gradient norm at x is at most ``stop_grad_norm``
+    (and ``curvature_ok(x)``, if given).  Otherwise the iteration draws a
+    batch from ``rng`` unless the run is full-batch and calls
     ``step(k, x, batch, loss, g) -> (x', record)`` with the loss and
     gradient at x on it.  The full-batch loss and gradient at a point are
-    each computed at most once, when an iteration first needs them; a
-    minibatch run skips the gradient where ``obj.grad_norm_floor`` proves
-    the test fails, and the floor where the last such floor and
-    ``obj.grad_lipschitz_fn`` prove it.  A non-finite stop-check gradient
-    norm raises ``FloatingPointError``.
+    each computed at most once, when an iteration first needs them.  A
+    non-finite stop-test gradient norm raises ``FloatingPointError``.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     x = np.asarray(x0, dtype=float).copy()
     records = []
     full_batch = batch_size is None or obj.num_samples == 0
+    if not full_batch and batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    epoch = 1 if full_batch else -(-obj.num_samples // batch_size)
     loss = g_full = None  # the full-batch loss and gradient at x, once computed
-    certified = False  # whether a floor proved that the stop test at x fails
-    threshold = 2.0 * stop_grad_norm + 2.0 ** -500
-    spread = 1.0 + (x.size + 8) * float(np.finfo(float).eps)
-    anchor = None  # (x_a, floor at x_a) of the last floor above the threshold
-
-    def certifies(x):
-        # A bound B <= ||g|| with ||g|| < 2^500 (the oracle's promise) and
-        # B > 2 stop_grad_norm + 2^-500 proves that the stop test would
-        # fail: ||g||^2 > 2^-1000 is then a normal number, g @ g is within
-        # d u relative of it plus d 2^-1074 for the squares that underflow,
-        # and so sqrt(g @ g) > ||g|| / 2 > stop_grad_norm, finite.  B is the
-        # anchor's floor less L ||x - x_a|| (grad_lipschitz_fn's promise) if
-        # that proves it, else the floor at x, the new anchor if it proves it
-        # (a lower one could prove nothing).  `reach` >= L ||x - x_a||, as
-        # dx, dx @ dx, sqrt and the products add (d + 4) u relative and the
-        # underflow sqrt(d 2^-1074); nextafter rounds the subtraction down.
-        nonlocal anchor
-        if anchor is not None and obj.grad_lipschitz_fn is not None:
-            dx = x - anchor[0]
-            reach = obj.grad_lipschitz_fn() * (math.sqrt(dx @ dx) * spread + 2.0 ** -500)
-            if math.nextafter(anchor[1] - reach, -math.inf) > threshold:
-                return True
-        floor = obj.grad_norm_floor(x)
-        if floor > threshold:
-            anchor = (x, floor)
-        return floor > threshold
-
     for k in range(max_iters):
-        if g_full is None and not certified:
-            # a full-batch step needs the gradient anyway
-            certified = not full_batch and certifies(x)
-            if not certified:
+        if k % epoch == 0:
+            if g_full is None:
                 g_full = obj.grad(x)
                 # sqrt(v @ v) is how np.linalg.norm computes a vector's 2-norm
                 grad_norm = math.sqrt(g_full @ g_full)
                 if not math.isfinite(grad_norm):
                     raise FloatingPointError(f"non-finite gradient norm at iteration {k}")
-        if (not certified and grad_norm <= stop_grad_norm
-                and (curvature_ok is None or curvature_ok(x))):
-            break
+            if grad_norm <= stop_grad_norm and (curvature_ok is None or curvature_ok(x)):
+                break
         if full_batch:
             loss = obj.eval(x) if loss is None else loss
             x, rec = step(k, x, None, loss, g_full)
@@ -112,7 +85,7 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
             x, rec = step(k, x, batch, obj.eval(x, batch), obj.grad(x, batch))
         records.append(rec)
         if rec.accepted:
-            loss, g_full, certified = (rec.loss_after if full_batch else None), None, False
+            loss, g_full = (rec.loss_after if full_batch else None), None
         elif full_batch and math.isnan(rec.rho):
             break  # a degenerate step: stationary model on the full objective
     return Trajectory(records=records, final_x=x)

@@ -183,13 +183,15 @@ def _hyperparameters(params: dict):
 
 def checked_seeds(value) -> list:
     """A parsed ``seeds`` value (one seed or a list) as a list of seeds;
-    raises ConfigError unless it holds one or more non-negative integers."""
+    raises ConfigError unless it holds one or more integers in [0, 2**64),
+    which keeps each seed's trajectory file name short."""
     seeds = value if isinstance(value, list) else [value]
     if not seeds:
         raise ConfigError("seeds must be non-empty")
     for seed in seeds:
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
+        if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+            raise ConfigError("seeds must be non-negative integers below 2**64, "
+                              f"got {seed!r}")
     return seeds
 
 

@@ -8,7 +8,6 @@ at distinct points.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,12 +25,6 @@ class Objective:
     hvp_fn: Callable[[np.ndarray, np.ndarray, Batch], np.ndarray]
     exact_diag_fn: Callable[[np.ndarray], np.ndarray] | None = None
     num_samples: int = 0  # 0 = deterministic
-    # a number at most the 2-norm of grad(x) as grad_fn computes it, from one
-    # pass over the data; a positive one also promises that norm is below 2^500
-    grad_norm_floor_fn: Callable[[np.ndarray], float] | None = None
-    # an L with ||grad(y)|| >= grad_norm_floor(x) - L ||y - x|| for all x, y,
-    # grad as grad_fn computes it, and ||grad(y)|| < 2^500 where that is positive
-    grad_lipschitz_fn: Callable[[], float] | None = None
 
     def eval(self, x: np.ndarray, batch: Batch = None) -> float:
         return float(self.eval_fn(np.asarray(x, dtype=float), batch))
@@ -46,13 +39,6 @@ class Objective:
         if self.exact_diag_fn is None:
             raise NotImplementedError("objective has no analytic diagonal Hessian")
         return self.exact_diag_fn(np.asarray(x, dtype=float))
-
-    def grad_norm_floor(self, x: np.ndarray) -> float:
-        """A lower bound on ``||grad(x)||``, or 0.0: no certificate."""
-        if self.grad_norm_floor_fn is None:
-            return 0.0
-        floor = float(self.grad_norm_floor_fn(np.asarray(x, dtype=float)))
-        return floor if 0.0 < floor < math.inf else 0.0
 
 
 def validate_batch(batch: Batch, num_samples: int) -> None:
@@ -163,33 +149,6 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
     if not (0.0 <= l2 < math.inf):  # NaN fails
         raise ValueError(f"need 0 <= l2 < inf, got {l2}")
     n, d = X.shape
-    eps = float(np.finfo(float).eps)
-
-    @functools.cache
-    def row_max() -> float:
-        """The largest row norm, computed by the first floor, as no other
-        callable needs it; einsum forms no n x d temporary."""
-        return math.sqrt(float(np.einsum("ij,ij->i", X, X).max(initial=0.0)))
-
-    @functools.cache
-    def grad_lipschitz() -> float:
-        """The L of the anchor certificate; O(n d^2), so made on first use."""
-        # ||Hessian of F|| <= L_F = lambda_max(X^T X) / (4n) + l2 as sig' <=
-        # 1/4, and lambda_max is at most the largest absolute row sum of X^T X,
-        # which fl(X^T X) is within gamma_n c_i sum(c) of, c the column norms
-        # (from its diagonal); (n + d + 16) eps covers that and the sums'
-        # rounding, 1 + 8 eps the rest.  With e(w) = a + b ||w|| bounding
-        # ||grad(w) - grad F(w)||, floor(x) <= ||grad F(x)|| - e(x), so
-        # ||grad(y)|| >= floor(x) - (L_F + b) ||y - x||, and b is below half
-        # grad_slack's ||w|| coefficient, added here.  Where that is positive,
-        # l2 ||y - x|| < floor(x) < 2^498, the floor's bound on R + l2 ||x||,
-        # so ||grad(y)|| <= (R + l2 ||y||)(1 + d eps) < 2^500.
-        gram = X.T @ X
-        c = np.sqrt(np.diag(gram))
-        rows = np.abs(gram).sum(axis=1) + (n + d + 16) * eps * float(c.sum()) * c
-        R = row_max()
-        return ((float(rows.max(initial=0.0)) / (4 * n) + l2
-                 + eps * (d * R * R + 2.0 * l2)) * (1.0 + 8.0 * eps))
 
     def sigmoid(m):  # 1 / (1 + exp(-m)), quietly 0 where exp(-m) overflows
         with np.errstate(over="ignore"):
@@ -227,43 +186,8 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         weights = sig * (1.0 - sig)
         return (weights[:, None] * X ** 2).mean(axis=0) + l2
 
-    def grad_norm_floor(w):
-        # Cauchy-Schwarz: ||grad F(w)|| >= |grad F(w) . w| / ||w||, and
-        # grad F(w) . w = mean(sig(m) m) + l2 ||w||^2, so the floor needs X w
-        # but not the gradient's second product with X.
-        #
-        # Rounding, with u = eps/2 and R the largest row norm: a sum of k
-        # terms is off by at most k u times the sum of their sizes, in any
-        # order, and exp is taken to be within 4 ulp.  Each m_i is then off
-        # by at most d u R ||w||; as |d(sig(m) m)/dm| < 1.1 and sig' <= 1/4,
-        # each sig(m_i) m_i is off by at most 1.1 d u R ||w|| + 12 u |p_i|
-        # and each sig(m_i) by at most d u R ||w|| / 4 + 11 u.  So `dot` is
-        # within `dot_slack` of grad F(w) . w, and grad(w), whose product
-        # with X^T adds at most n u R, within `grad_slack` of grad F(w):
-        # each slack is about twice the sum it bounds, which covers the
-        # rounding of the slacks, of ||w|| and of the floor itself.  Where
-        # ||w|| >= 2^-500 underflow adds less than 2^-520, and where
-        # R + l2 ||w|| < 2^498 a positive floor leaves ||grad(w)|| below
-        # 2^500.  A NaN fails the first test; one made later makes a NaN
-        # floor, and an infinity a NaN or -inf one.
-        ww = float(w @ w)
-        norm_w = math.sqrt(ww)
-        R = row_max()
-        if not (2.0 ** -1000 <= ww and R + l2 * norm_w < 2.0 ** 498):
-            return 0.0
-        m = -y * (X @ w)
-        with np.errstate(over="ignore"):  # as in sigmoid
-            p = m / (1.0 + np.exp(-m))  # sig(m) m
-        dot = float(p.mean()) + l2 * ww
-        dot_slack = eps * ((n + 16) * float(np.abs(p).mean()) + d * R * norm_w
-                           + (d + 4) * l2 * ww + abs(dot))
-        grad_slack = eps * ((n + 16) * R + d * R * R * norm_w + 2.0 * l2 * norm_w)
-        return ((abs(dot) - dot_slack) / (norm_w * (1.0 + (d + 4) * eps))
-                - grad_slack - 2.0 ** -520)
-
     return Objective(dim=d, eval_fn=f, grad_fn=g, hvp_fn=hvp,
-                     exact_diag_fn=diag, num_samples=n,
-                     grad_norm_floor_fn=grad_norm_floor, grad_lipschitz_fn=grad_lipschitz)
+                     exact_diag_fn=diag, num_samples=n)
 
 
 def make_synthetic_logistic(n: int, d: int, l2: float, seed: int) -> Objective:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ def test_trust_region_constants_are_not_fields(name):
     # the count is an integer, not a float or a bool
     {"hutchinson_samples": 2.5},
     {"hutchinson_samples": True},
+    # and at most sys.maxsize, the most probes itertools.islice can take
+    {"hutchinson_samples": sys.maxsize + 1},
+    {"hutchinson_samples": 10 ** 30},
     # eps_m <= xi0 < inf
     {"xi0": -1.0},
     {"xi0": 1e-7},
@@ -45,6 +49,10 @@ def test_trust_region_constants_are_not_fields(name):
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ValueError):
         AdaCubicConfig(**kwargs)
+
+
+def test_the_largest_probe_count_is_accepted():
+    assert AdaCubicConfig(hutchinson_samples=sys.maxsize).hutchinson_samples == sys.maxsize
 
 
 def test_replace_returns_new_validated_config():

@@ -228,8 +228,7 @@ def test_run_baseline_raises_once_its_iterate_diverges():
 
 def _counting(obj):
     """``obj`` with its loss, gradient and HVP calls counted, per callable
-    and per full-batch or batch call, and without a gradient-norm floor, so
-    that every stop test takes the full-batch gradient."""
+    and per full-batch or batch call."""
     counts = {}
 
     def counted(kind, fn):
@@ -246,13 +245,14 @@ def _counting(obj):
                      num_samples=obj.num_samples), counts
 
 
-def _full_gradients(traj, max_iters):
-    """The full-batch gradients a run takes: one at each point at which an
-    iteration starts, that is at x0 and after each accepted step, except the
-    point reached by the accepted last step of a run that used its budget."""
-    accepted = sum(r.accepted for r in traj.records)
-    at_budget = len(traj.records) == max_iters and traj.records[-1].accepted
-    return 1 + accepted - at_budget
+def _full_gradient_iterations(traj, max_iters, epoch=1):
+    """The iterations k at which a run takes the full-batch gradient: each
+    stop test, k % epoch == 0, that the run reaches at a new point.  A run
+    reaches the tests before its budget and, if one stopped it, that one;
+    a point is new at x0 and after a step accepted since the last test."""
+    recs = traj.records
+    return [k for k in range(0, min(len(recs) + 1, max_iters), epoch)
+            if k == 0 or any(r.accepted for r in recs[k - epoch:k])]
 
 
 @pytest.mark.parametrize("obj,x0,iters,stop", [
@@ -270,22 +270,26 @@ def test_full_batch_run_takes_one_loss_and_at_most_one_gradient_per_iteration(
     steps = len(traj.records)
     degenerate = sum(math.isnan(r.rho) for r in traj.records)
     assert counts[("eval", "full")] == 1 + steps - degenerate
-    assert counts[("grad", "full")] == _full_gradients(traj, iters)
+    assert counts[("grad", "full")] == len(_full_gradient_iterations(traj, iters))
     # plus the stop check's probes, at each point where the gradient is small
     assert counts[("hvp", "full")] >= CFG.hutchinson_samples * steps
     assert set(counts) == {("eval", "full"), ("grad", "full"), ("hvp", "full")}
 
 
-def test_minibatch_run_takes_one_full_gradient_per_point():
-    # the first rejected steps of this run are its 13th, 22nd and 28th: a
-    # budget of 30 ends on an accepted step, one of 28 on a rejected one
-    for iters in (30, 28):
+def test_minibatch_run_takes_one_full_gradient_per_epoch_boundary():
+    # an epoch is ceil(60 / 16) = 4 iterations; the first rejected steps of
+    # this run are its 13th, 22nd and 28th, so each epoch accepts a step and
+    # each boundary is at a new point: a budget of 30 reaches the boundaries
+    # 0, 4, ..., 28, and one of 28 ends before its boundary at 28
+    for iters, boundaries in ((30, 8), (28, 7)):
         counted, counts = _counting(make_synthetic_logistic(60, 3, 1e-2, 1))
         traj = run(counted, np.zeros(3), CFG, iters, batch_size=16)
         n = len(traj.records)
         assert n == iters and not any(math.isnan(r.rho) for r in traj.records)
-        assert traj.records[-1].accepted == (iters == 30)
-        assert counts == {("grad", "full"): _full_gradients(traj, iters),
+        rejected = [k for k, r in enumerate(traj.records) if not r.accepted]
+        assert rejected[:3] == [12, 21, 27]
+        assert _full_gradient_iterations(traj, iters, 4) == list(range(0, iters, 4))
+        assert counts == {("grad", "full"): boundaries,
                           ("eval", "batch"): 2 * n, ("grad", "batch"): n,
                           ("hvp", "batch"): n}
 
@@ -303,7 +307,10 @@ def test_baselines_take_each_gradient_once(batch_size):
             # the stop check's gradient is the step's; one loss per point
             assert counts == {("grad", "full"): n, ("eval", "full"): n + 1}
         else:
-            assert counts == {("grad", "full"): n, ("grad", "batch"): n,
+            # an epoch is 60 / 8 = 7.5, so 8 iterations: one full-batch
+            # gradient at each of the boundaries 0, 8, 16 and 24
+            assert _full_gradient_iterations(traj, 25, 8) == [0, 8, 16, 24]
+            assert counts == {("grad", "full"): 4, ("grad", "batch"): n,
                               ("eval", "batch"): 2 * n}
 
 
@@ -329,130 +336,89 @@ def test_full_batch_run_calls_each_layer_once_per_iteration(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the minibatch stop test with a gradient-norm floor
+# the minibatch stop test, once per epoch
 # ---------------------------------------------------------------------------
 
-def _minibatch_run(obj, optimizer, stop, iters=200):
+def _full_gradients_at(obj):
+    """``obj`` counted by :func:`_counting`, its counts, and the iterations
+    at which it takes a full-batch gradient: each iteration takes exactly
+    one batch gradient, so that is the number of batch gradients so far."""
+    counted, counts = _counting(obj)
+    at = []
+
+    def grad(x, batch=None):
+        if batch is None:
+            at.append(counts.get(("grad", "batch"), 0))
+        return counted.grad_fn(x, batch)
+
+    return dataclasses.replace(counted, grad_fn=grad), counts, at
+
+
+def _minibatch_run(obj, optimizer, iters, batch_size, stop=0.0):
     x0 = np.zeros(obj.dim)
     if optimizer == "adacubic":
-        return run(obj, x0, CFG, iters, 16, stop, seed=2)
-    return run_baseline(obj, x0, optimizer, 0.1, iters, 16, stop, seed=2)
+        return run(obj, x0, CFG, iters, batch_size, stop, seed=2)
+    return run_baseline(obj, x0, optimizer, 0.1, iters, batch_size, stop, seed=2)
+
+
+@pytest.mark.parametrize("batch_size,epoch", [(8, 5), (12, 4), (40, 1)])
+@pytest.mark.parametrize("optimizer", ["adacubic", "sgd", "adam"])
+def test_minibatch_run_tests_its_stop_at_each_epoch_boundary(optimizer, batch_size, epoch):
+    # n = 40: a batch of 8 divides it, one of 12 does not (ceil(40 / 12) = 4),
+    # and a batch of all 40 samples makes every iteration a boundary
+    counted, counts, at = _full_gradients_at(make_synthetic_logistic(40, 3, 1e-2, 1))
+    traj = _minibatch_run(counted, optimizer, 30, batch_size)
+    assert len(traj.records) == 30
+    boundaries = list(range(0, 30, epoch))
+    if optimizer == "adacubic":
+        # the gradient is kept across an epoch that accepts no step
+        assert at == _full_gradient_iterations(traj, 30, epoch)
+        assert set(at) <= set(boundaries) and len(at) > len(boundaries) // 2
+    else:  # a baseline accepts every step
+        assert at == boundaries
+    assert counts[("grad", "full")] == len(at)
+    assert counts[("grad", "batch")] == 30
+
+
+def test_a_minibatch_run_needs_a_positive_batch_size():
+    # the epoch, ceil(num_samples / batch_size), needs batch_size >= 1
+    obj = make_synthetic_logistic(40, 3, 1e-2, 1)
+    for batch_size in (0, -8):
+        with pytest.raises(ValueError, match="batch_size"):
+            run(obj, np.zeros(3), CFG, 5, batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            run_baseline(obj, np.zeros(3), "sgd", 0.1, 5, batch_size)
 
 
 @pytest.mark.parametrize("optimizer", ["adacubic", "sgd", "adam"])
-def test_minibatch_stop_is_the_same_with_and_without_the_floor(optimizer):
-    obj = make_synthetic_logistic(400, 5, 1e-2, 3)
-    plain = dataclasses.replace(obj, grad_norm_floor_fn=None, grad_lipschitz_fn=None)
-    # the full-batch gradient norm at each point of a run that never stops
-    norms = []
+def test_a_threshold_crossed_mid_epoch_stops_the_run_at_the_next_boundary(optimizer):
+    # n = 40 and a batch of 12: an epoch of 4 iterations
+    obj, epoch, iters = make_synthetic_logistic(40, 3, 1e-2, 1), 4, 60
+    points = []  # x at each iteration, where it takes its batch gradient
 
-    def recorded(w, batch=None):
-        g = obj.grad_fn(w, batch)
-        if batch is None:
-            norms.append(math.sqrt(g @ g))
-        return g
+    def grad(x, batch=None):
+        if batch is not None:
+            points.append(x.copy())
+        return obj.grad_fn(x, batch)
 
-    _minibatch_run(dataclasses.replace(plain, grad_fn=recorded), optimizer, 0.0)
-    # the smallest norm after x0 stops the runs below at its point, k > 0
-    stop = min(norms[1:])
-    assert norms[0] > 4.0 * stop
-    counted, counts = _counting(obj)
-    without = _minibatch_run(plain, optimizer, stop)
-    # the floor alone, and the floor with the anchor certificate
-    floor_only = _minibatch_run(dataclasses.replace(obj, grad_lipschitz_fn=None),
-                                optimizer, stop)
-    with_floor = _minibatch_run(
-        dataclasses.replace(counted, grad_norm_floor_fn=obj.grad_norm_floor_fn,
-                            grad_lipschitz_fn=obj.grad_lipschitz_fn),
-        optimizer, stop)
-    assert 0 < len(with_floor.records) < 200
-    for traj in (floor_only, with_floor):
-        # repr, exact for floats, also matches the baselines' NaN fields
-        assert repr(traj.records) == repr(without.records)
-        np.testing.assert_array_equal(traj.final_x, without.final_x)
-    # the floor skipped the full-batch gradient at some points, not all
-    assert 1 < counts[("grad", "full")] < _full_gradients(with_floor, 200)
-
-
-@pytest.mark.parametrize("stop", [1e-6, 0.02])
-def test_minibatch_run_takes_full_gradients_only_where_the_floor_certifies_nothing(stop):
-    obj = make_synthetic_logistic(400, 5, 1e-2, 3)
-    lipschitz, threshold = obj.grad_lipschitz_fn(), 2.0 * stop + 2.0 ** -500
-    for optimizer in ("adacubic", "sgd", "adam"):
-        calls = []  # (kind, point, floor) of each floor and each gradient
-
-        def floor(w):
-            calls.append(("floor", w.copy(), obj.grad_norm_floor_fn(w)))
-            return calls[-1][2]
-
-        def grad(w, batch=None):
-            calls.append(("full" if batch is None else "batch", w.copy(), None))
-            return obj.grad_fn(w, batch)
-
-        traj = _minibatch_run(dataclasses.replace(obj, grad_fn=grad,
-                                                  grad_norm_floor_fn=floor),
-                              optimizer, stop, iters=60)
-        # replay the run: each iteration ends its calls with one batch
-        # gradient, and the stop test runs at each point where one starts,
-        # and at the last point of a run that stops before its budget
-        iterations, pending = [], []  # (point, its calls before the batch's)
-        for call in calls:
-            if call[0] == "batch":
-                iterations.append((call[1], pending))
-                pending = []
-            else:
-                pending.append(call)
-        recs = traj.records
-        assert len(iterations) == len(recs)
-        starts = [it for k, it in enumerate(iterations) if k == 0 or recs[k - 1].accepted]
-        assert all(not seen for k, (_, seen) in enumerate(iterations)
-                   if k > 0 and not recs[k - 1].accepted)
-        if len(recs) < 60:
-            starts.append((traj.final_x, pending))
-        else:
-            assert pending == []
-        anchor, floors, full = None, 0, []
-        for x, seen in starts:
-            # the anchor bound with plain rounding, which the driver's bound
-            # rounds down from
-            bound = (-math.inf if anchor is None else
-                     anchor[1] - lipschitz * float(np.linalg.norm(x - anchor[0])))
-            if not seen:  # the anchor certifies x: no floor, no gradient
-                assert bound > threshold
-                continue
-            # a floor only where the anchor certifies nothing, and a
-            # full-batch gradient only where the floor does not either
-            assert bound <= threshold + 1e-12 * abs(bound)
-            (kind, w, value), *rest = seen
-            floors += 1
-            assert kind == "floor"
-            np.testing.assert_array_equal(w, x)
-            if value > threshold:  # the floor certifies x and is the anchor
-                assert rest == []
-                anchor = (x, value)
-            else:
-                assert [c[0] for c in rest] == ["full"]
-                np.testing.assert_array_equal(rest[0][1], x)
-                full.append(x)
-        if optimizer == "sgd":
-            assert floors < len(starts) / 2
-        if stop == 1e-6:  # the benchmark's threshold: only x0 = 0 is tested
-            assert len(full) == 1 and not full[0].any()
-
-
-def test_a_full_batch_run_never_asks_for_a_floor():
-    # its step needs the gradient anyway
-    calls = []
-    obj = dataclasses.replace(make_synthetic_logistic(80, 3, 1e-2, 4),
-                              grad_norm_floor_fn=lambda w: calls.append("floor") or 1.0,
-                              grad_lipschitz_fn=lambda: calls.append("L") or 1.0)
-    assert len(run(obj, np.ones(3), CFG, 20).records) == 20
-    assert len(run_baseline(obj, np.ones(3), "sgd", 0.1, 20).records) == 20
-    assert calls == []
+    free = _minibatch_run(dataclasses.replace(obj, grad_fn=grad), optimizer, iters, 12)
+    norms = [math.sqrt(g @ g) for g in map(obj.grad, points)]
+    # a threshold first crossed at an iteration j inside an epoch after the
+    # first, and crossed again at the epoch's end, the boundary b
+    j = next(j for j in range(epoch + 1, iters - epoch) if j % epoch
+             and min(norms[:j]) > norms[j] >= norms[-(-j // epoch) * epoch])
+    b = -(-j // epoch) * epoch
+    counted, counts, at = _full_gradients_at(obj)
+    stopped = _minibatch_run(counted, optimizer, iters, 12, stop=norms[j])
+    assert len(stopped.records) == b and b % epoch == 0
+    # the stop test at the boundary is the only change to the run
+    assert repr(stopped.records) == repr(free.records[:b])
+    np.testing.assert_array_equal(stopped.final_x, points[b])
+    assert at == _full_gradient_iterations(stopped, iters, epoch) and at[-1] == b
 
 
 @pytest.mark.parametrize("x0", [[math.nan, 0.0, 0.0], [math.inf, 1.0, 1.0]])
-def test_a_non_finite_point_gets_no_certificate_and_raises(x0):
+def test_a_non_finite_start_raises_at_the_first_stop_test(x0):
     obj = make_synthetic_logistic(40, 3, 1e-2, 1)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
         run_baseline(obj, np.array(x0), "sgd", 0.1, 5, batch_size=8)

@@ -135,6 +135,14 @@ kind = adam
      "seeds must be non-negative integers"),
     ("[run]\nseeds = 0,1.5\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
      "seeds must be non-negative integers"),
+    # a seed goes into a file name, so it is bounded at load
+    (f"[run]\nseeds = 0,{2 ** 64}\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "seeds must be non-negative integers below 2**64"),
+    (f"[run]\nseeds = {HUGE}\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
+     "seeds must be non-negative integers below 2**64"),
+    ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\n"
+     f"hutchinson_samples = {'9' * 30}",
+     "optimizer.o: hutchinson_samples must be an integer in [1, sys.maxsize]"),
     # every [run] value is converted and range-checked at load
     ("[run]\nmax_iters = abc\n[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd",
      "max_iters must be an integer >= 1"),
@@ -441,6 +449,24 @@ momentum = 0.5
     assert float(parts[-1]) == 0.0  # success_rate
 
 
+def test_the_largest_seed_runs_and_names_its_file(tmp_path):
+    cfg = parse_config_text(f"""
+[run]
+seeds = {2 ** 64 - 1}
+max_iters = 3
+
+[problem.quad]
+kind = quadratic
+
+[optimizer.sgd]
+kind = sgd
+""")
+    (path,), _ = run_experiment(cfg, str(tmp_path / "out"))
+    assert os.path.basename(path) == f"quad__sgd__seed{2 ** 64 - 1}.csv"
+    with open(path) as fh:
+        assert len(fh.read().splitlines()) == 4  # the header and three steps
+
+
 def test_deviation_measurement_quantiles():
     obj = make_synthetic_logistic(128, 4, 1e-2, 0)
     x = np.zeros(4)
@@ -510,7 +536,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg_path, "--problem", "nope"]) == 2
     assert cli.main(["run", "--config", cfg_path, "--optimizer", "nope"]) == 2
     # a --seeds override is checked as a seeds line in the file is
-    for seeds in ("-1", "0,-2", ",", "1.5", "abc"):
+    for seeds in ("-1", "0,-2", ",", "1.5", "abc", HUGE):
         assert cli.main(["run", "--config", cfg_path, "--seeds", seeds,
                          "--out", str(tmp_path / "o")]) == 2
     bad = tmp_path / "bad.cfg"

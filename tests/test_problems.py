@@ -156,79 +156,6 @@ def test_logistic_batched_loss_consistency():
     assert parts == pytest.approx(obj.eval(w), rel=1e-12)
 
 
-def _logistic_with_minimizer(n=2000, d=50, l2=1e-3, seed=5):
-    """A logistic problem with 5% flipped labels, its minimizer w*, from
-    Newton's method with the dense Hessian, and its features."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, d))
-    y = np.sign(X @ rng.standard_normal(d))
-    y[rng.random(n) < 0.05] *= -1.0
-    obj = make_logistic(X, y, l2)
-    w = np.zeros(d)
-    for _ in range(30):
-        sig = 1.0 / (1.0 + np.exp(y * (X @ w)))
-        hess = (X.T * (sig * (1.0 - sig))) @ X / n + l2 * np.eye(d)
-        w = w - np.linalg.solve(hess, obj.grad(w))
-    return obj, w, X
-
-
-def test_grad_norm_floor_never_exceeds_the_computed_gradient_norm():
-    obj, w_star, _ = _logistic_with_minimizer()
-    assert np.linalg.norm(obj.grad(w_star)) < 1e-15
-    rng = np.random.default_rng(6)
-    d = obj.dim
-    points = [rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 3) for _ in range(1000)]
-    points += [w_star + rng.standard_normal(d) * 10.0 ** rng.uniform(-12, -1)
-               for _ in range(1000)]
-    points += [w_star * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -3))
-               for _ in range(1000)]
-    ratios = []
-    for w in points:
-        g = obj.grad(w)
-        ratios.append(obj.grad_norm_floor(w) / math.sqrt(g @ g))
-    ratios = np.array(ratios).reshape(3, -1)
-    assert ratios.max() <= 1.0
-    # at large random points the gradient is nearly parallel to w, so the
-    # floor is within 1% of the norm there: a floor 1% higher breaks it
-    assert ratios[0].max() > 0.99
-    # the floor certifies most points of each group, but no point so close
-    # to w* that rounding could hide the sign of grad F . w
-    assert [(r > 0).mean() > 0.5 for r in ratios] == [True] * 3
-    assert obj.grad_norm_floor(w_star) == 0.0
-
-
-def test_grad_lipschitz_bounds_the_gradient_norm_from_a_floor_elsewhere():
-    # the promise: ||grad(y)|| >= floor(x) - L ||y - x|| for all x, y
-    obj, w_star, X = _logistic_with_minimizer()
-    n, d = X.shape
-    L = obj.grad_lipschitz_fn()
-    assert L >= np.linalg.eigvalsh(X.T @ X)[-1] / (4 * n) + 1e-3
-    rng = np.random.default_rng(7)
-
-    def near(w, scale):  # a point at a random distance 10^scale from w
-        return w + rng.standard_normal(d) * 10.0 ** rng.uniform(*scale) / math.sqrt(d)
-
-    pairs = []  # three groups of 1000 (x, y), at many scales
-    for _ in range(1000):
-        x = rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 3)
-        pairs.append((x, near(x, (-12, 1))))
-    for _ in range(1000):  # where the floor fades: x and y near w*
-        x = near(w_star, (-7, 0))
-        pairs.append((x, near(x, (-14, 0))))
-    for _ in range(1000):  # from near w* part of the way toward it
-        x = near(w_star, (-7, 0))
-        pairs.append((x, x + (w_star - x) * 10.0 ** rng.uniform(-6, 0)))
-    bounds = []
-    for x, y in pairs:
-        g = obj.grad(y)
-        bound = obj.grad_norm_floor(x) - L * float(np.linalg.norm(y - x))
-        assert math.sqrt(g @ g) >= bound
-        bounds.append(bound)
-    # the bound proves something in each group, not everywhere
-    positive = (np.array(bounds).reshape(3, -1) > 0.0).mean(axis=1)
-    assert all(0.1 < share < 0.9 for share in positive), positive
-
-
 def test_logistic_sigmoid_overflow_is_silent_and_exact():
     # where m = -y (X w) < -709.78, exp(-m) overflows to inf and sigma(m) is
     # exactly 0: the oracle warns nowhere, and each value is bit for bit the
@@ -246,23 +173,10 @@ def test_logistic_sigmoid_overflow_is_silent_and_exact():
     weights = sig * (1.0 - sig)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, hv = obj.grad(w), obj.hvp(w, v)
-        diag, floor = obj.exact_diag_hessian(w), obj.grad_norm_floor(w)
+        g, hv, diag = obj.grad(w), obj.hvp(w, v), obj.exact_diag_hessian(w)
     np.testing.assert_array_equal(g, X.T @ (-y * sig) / n + l2 * w)
     np.testing.assert_array_equal(hv, X.T @ (weights * (X @ v)) / n + l2 * v)
     np.testing.assert_array_equal(diag, (weights[:, None] * X ** 2).mean(axis=0) + l2)
-    assert 0.0 < floor <= math.sqrt(g @ g)
-
-
-def test_grad_norm_floor_is_zero_without_a_certificate():
-    obj = make_synthetic_logistic(40, 3, 1e-2, 1)
-    with np.errstate(all="ignore"):
-        for w in ([0.0, 0.0, 0.0], [math.nan, 1.0, 1.0], [math.inf, 1.0, 1.0],
-                  [1e200, 0.0, 0.0], [1e-310, 0.0, 0.0]):
-            assert obj.grad_norm_floor(np.array(w)) == 0.0
-    assert obj.grad_norm_floor(np.ones(3)) > 0.0
-    # a problem without a floor has no certificate anywhere
-    assert make_rosenbrock(3).grad_norm_floor(np.ones(3) * 5.0) == 0.0
 
 
 def test_load_logistic_csv_roundtrip(tmp_path):
