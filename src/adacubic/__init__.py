@@ -7,8 +7,8 @@ probes.
 """
 
 from .config import AdaCubicConfig, IterationClass, update_xi
-from .driver import (StepRecord, Trajectory, adacubic_step, adam_step, rho,
-                     run, run_baseline, sgd_step)
+from .driver import (StepRecord, Trajectory, adacubic_step, adam_step, run,
+                     run_baseline, sgd_step)
 from .hutchinson import exhaustive_diag, hutchinson_diag
 from .problems import (Objective, brute_force_subproblem_min, draw_batch,
                        load_logistic_csv, make_logistic, make_quadratic,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaCubicConfig", "IterationClass", "update_xi",
-    "StepRecord", "Trajectory", "adacubic_step", "adam_step", "rho", "run",
+    "StepRecord", "Trajectory", "adacubic_step", "adam_step", "run",
     "run_baseline", "sgd_step",
     "exhaustive_diag", "hutchinson_diag",
     "Objective", "brute_force_subproblem_min", "draw_batch",

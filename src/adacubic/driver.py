@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -35,28 +36,21 @@ class Trajectory:
     final_x: np.ndarray
 
 
-def rho(loss_before: float, loss_after: float, model_value_drop: float) -> float:
-    """Actual-to-predicted reduction ratio driving acceptance."""
-    if not (model_value_drop > 0.0):
-        raise ZeroDivisionError("model predicted no decrease; degenerate step")
-    return (loss_before - loss_after) / model_value_drop
-
-
 def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
              batch_size: int | None, stop_grad_norm: float,
-             rng: np.random.Generator, step, curvature_ok=None) -> Trajectory:
+             seed: int, step, curvature_ok=None) -> Trajectory:
     """The iteration loop of :func:`run` and :func:`run_baseline`.
 
     The stop test runs at each iteration k with k % e == 0: at every
     iteration of a full-batch run (e = 1), and at each epoch boundary of a
     minibatch one, e = ceil(num_samples / batch_size).  It stops the run
     when the full-batch gradient norm at x is at most ``stop_grad_norm``
-    (and ``curvature_ok(x)``, if given).  Otherwise the iteration draws a
-    batch from ``rng`` unless the run is full-batch and calls
-    ``step(k, x, batch, loss, g) -> (x', record)`` with the loss and
-    gradient at x on it.  The full-batch loss and gradient at a point are
-    each computed at most once, when an iteration first needs them.  A
-    non-finite stop-test gradient norm raises ``FloatingPointError``.
+    (and ``curvature_ok(x)``, if given).  Otherwise the iteration calls
+    ``step(k, x, batch, loss, g) -> (x', record)`` with the loss and gradient
+    at x on ``batch``: None in a full-batch run, else drawn from the stream of
+    ``SeedSequence(seed).spawn(1)[0]``.  The full-batch loss and gradient at
+    a point are each computed at most once, when an iteration first needs
+    them.  A non-finite stop-test gradient norm raises ``FloatingPointError``.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -66,6 +60,7 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     if not full_batch and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     epoch = 1 if full_batch else -(-obj.num_samples // batch_size)
+    batches = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     loss = g_full = None  # the full-batch loss and gradient at x, once computed
     for k in range(max_iters):
         if k % epoch == 0:
@@ -81,7 +76,7 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
             loss = obj.eval(x) if loss is None else loss
             x, rec = step(k, x, None, loss, g_full)
         else:
-            batch = draw_batch(rng, obj.num_samples, batch_size)
+            batch = draw_batch(batches, obj.num_samples, batch_size)
             x, rec = step(k, x, batch, obj.eval(x, batch), obj.grad(x, batch))
         records.append(rec)
         if rec.accepted:
@@ -92,31 +87,27 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
 
 
 def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
-                  rng: np.random.Generator, batch=None,
-                  current: tuple[float, np.ndarray] | None = None, iteration: int = 0):
-    """One iteration: estimate curvature, solve the subproblem, accept or reject.
+                  probes, loss_before: float, g: np.ndarray, batch=None, iteration=0):
+    """One iteration from x, whose loss and gradient on ``batch`` (the full
+    objective when None) are ``loss_before`` and ``g``: estimate curvature
+    from the next ``cfg.hutchinson_samples`` rows of the iterator ``probes``,
+    solve the subproblem, accept or reject.
 
-    Loss, gradient, curvature probes, and the post-step loss are all
-    evaluated on ``batch`` (the full objective when it is None), the probes
-    drawn from ``rng`` as :func:`hutchinson_diag` draws them.
-    ``current`` is the ``(loss, gradient)`` at x on that batch when the
-    caller already has it; ``iteration`` numbers the record.  A degenerate
-    step (no predicted decrease) evaluates no post-step loss: its record
-    has loss_after = loss_before, rho NaN and class UNSUCCESSFUL, and xi is
-    kept.  Returns (x', xi', record); x' is x when the step is rejected or
-    degenerate.
+    The HVPs and the post-step loss are on ``batch`` too; ``iteration``
+    numbers the record.  A degenerate step (no predicted decrease) evaluates
+    no post-step loss: its record has loss_after = loss_before, rho NaN and
+    class UNSUCCESSFUL, and xi is kept.  Returns (x', xi', record); x' is x
+    when the step is rejected or degenerate.
     """
-    loss_before, g = current if current is not None else \
-        (obj.eval(x, batch), obj.grad(x, batch))
-    b = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim,
-                        cfg.hutchinson_samples, rng)
+    b = hutchinson_diag(lambda v: obj.hvp(x, v, batch),
+                        islice(probes, cfg.hutchinson_samples))
     sol = root_finder(b, g, xi)
     s = sol.s
     step_norm = math.sqrt(s.dot(s))
     x_new = x + s
     if sol.model_decrease > 0.0 and math.isfinite(sol.model_decrease):
         loss_after = obj.eval(x_new, batch)
-        ratio = rho(loss_before, loss_after, sol.model_decrease)
+        ratio = (loss_before - loss_after) / sol.model_decrease
         status, new_xi = update_xi(xi, ratio, step_norm ** 3, cfg)
     else:  # degenerate: the model predicts no decrease
         loss_after, ratio, status, new_xi = \
@@ -138,25 +129,23 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
     entry does not stop the run, so saddle points (where the gradient
     vanishes exactly) are escaped rather than reported as converged.  A
     degenerate full-batch step (no predicted decrease) ends the run.  Two
-    runs with the same seed and config are bit-identical.
+    runs with the same seed and config are bit-identical; the probes are
+    drawn ahead from ``default_rng(seed)`` by :func:`rademacher_rows`.
     """
-    rng = np.random.default_rng(seed)
     xi = float(cfg.xi0)
-    # a full-batch run draws only probes from rng, so it can draw them ahead
-    full_batch = batch_size is None or obj.num_samples == 0
-    probes = rademacher_rows(rng, obj.dim) if full_batch else rng
+    probes = rademacher_rows(np.random.default_rng(seed), obj.dim)
 
     def curvature_ok(x: np.ndarray) -> bool:
-        b = hutchinson_diag(lambda v: obj.hvp(x, v), obj.dim,
-                            cfg.hutchinson_samples, probes)
+        b = hutchinson_diag(lambda v: obj.hvp(x, v),
+                            islice(probes, cfg.hutchinson_samples))
         return float(b.min()) >= 0.0
 
     def step(k, x, batch, loss, g):
         nonlocal xi
-        x, xi, rec = adacubic_step(obj, x, xi, cfg, probes, batch, (loss, g), k)
+        x, xi, rec = adacubic_step(obj, x, xi, cfg, probes, loss, g, batch, k)
         return x, rec
 
-    return _iterate(obj, x0, max_iters, batch_size, stop_grad_norm, rng, step,
+    return _iterate(obj, x0, max_iters, batch_size, stop_grad_norm, seed, step,
                     curvature_ok)
 
 
@@ -206,5 +195,4 @@ def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
             float("nan"), float("nan"), float("nan"), math.sqrt(s.dot(s)),
             IterationClass.SUCCESSFUL, SubproblemStatus.INTERIOR, True)
 
-    return _iterate(obj, x0, max_iters, batch_size, stop_grad_norm,
-                    np.random.default_rng(seed), step)
+    return _iterate(obj, x0, max_iters, batch_size, stop_grad_norm, seed, step)

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .config import AdaCubicConfig
 from .driver import Trajectory, run, run_baseline
-from .hutchinson import hutchinson_diag
+from .hutchinson import hutchinson_diag, rademacher_probes
 from .problems import (Objective, draw_batch, load_logistic_csv, make_quadratic,
                        make_rosenbrock, make_saddle, make_synthetic_logistic)
 
@@ -136,6 +137,8 @@ def _as_float(key: str, value) -> float:
 def _checked_int(key: str, value, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    if value > sys.maxsize:  # no array size or index can be larger
+        raise ConfigError(f"{key} must be at most sys.maxsize")
     return value
 
 
@@ -361,7 +364,8 @@ def measure_subsample_deviation(obj: Objective, x: np.ndarray, batch_size: int,
     for t in range(trials):
         batch = draw_batch(rng, obj.num_samples, batch_size)
         grad_devs[t] = np.linalg.norm(obj.grad(x, batch) - g_full)
-        b = hutchinson_diag(lambda v: obj.hvp(x, v, batch), obj.dim, S, rng)
+        b = hutchinson_diag(lambda v: obj.hvp(x, v, batch),
+                            rademacher_probes(rng, S, obj.dim))
         diag_devs[t] = np.max(np.abs(b - diag_full))
     qs = [0.1, 0.25, 0.5, 0.75, 0.9]
     return {

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-from itertools import islice, product
-from typing import Callable, Iterator
+from itertools import product
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 BLOCK_BYTES = 1 << 16  # the most bytes of probes that rademacher_rows draws at once
 
 
-def _rademacher_probes(rng: np.random.Generator, S: int, d: int) -> np.ndarray:
+def rademacher_probes(rng: np.random.Generator, S: int, d: int) -> np.ndarray:
     """S rows of d i.i.d. +-1 entries, drawn from ``rng`` in one call.
 
     PCG64 serves these bounded draws 32 bits at a time from its own buffer,
@@ -24,33 +24,29 @@ def _rademacher_probes(rng: np.random.Generator, S: int, d: int) -> np.ndarray:
 
 
 def rademacher_rows(rng: np.random.Generator, d: int) -> Iterator[np.ndarray]:
-    """The probe rows that successive :func:`hutchinson_diag` calls would draw
-    from ``rng``, in order, drawn ahead in blocks of at most BLOCK_BYTES (or
-    one row); as ``rng`` runs ahead of them, draw nothing else from it."""
+    """Successive :func:`rademacher_probes` rows from ``rng``, drawn ahead in blocks
+    of at most BLOCK_BYTES (or one row); draw nothing else from ``rng``."""
     rows = max(1, BLOCK_BYTES // (8 * max(d, 1)))  # the draw rejects d < 1
     while True:
-        yield from _rademacher_probes(rng, rows, d)
+        yield from rademacher_probes(rng, rows, d)
 
 
-def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int, S: int,
-                    rng: np.random.Generator | Iterator[np.ndarray]) -> np.ndarray:
-    """Average of H(v) * v over S Rademacher probes.
+def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray],
+                    probes: Iterable[np.ndarray]) -> np.ndarray:
+    """Average of H(v) * v over the Rademacher probe rows v of ``probes``.
 
-    Unbiased for diag(H); exact for diagonal H at any S since v*v == 1.
-    Probes are drawn from ``rng``, or taken from it if it iterates probe rows
-    (:func:`rademacher_rows`); accumulation is sequential in s, for bit-reproducibility.
+    Unbiased for diag(H); exact for diagonal H at any number of probes since
+    v*v == 1.  Accumulation is sequential over the rows, for bit-reproducibility.
     """
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    probes = (_rademacher_probes(rng, S, d) if isinstance(rng, np.random.Generator)
-              else islice(rng, S))
-    acc = 0.0
-    for v in probes:
+    acc, S = 0.0, 0
+    for S, v in enumerate(probes, 1):
         hv = np.asarray(hvp(v), dtype=float)
         # hv.dot(hv) is finite iff every entry is, unless it overflows
         if not math.isfinite(hv.dot(hv)) and not np.isfinite(hv).all():
             raise FloatingPointError("non-finite Hessian-vector product")
         acc = acc + hv * v  # the first sum turns -0.0 into 0.0
+    if S == 0:
+        raise ValueError("hutchinson_diag needs at least one probe row")
     return acc if S == 1 else acc / S  # a / 1 == a
 
 

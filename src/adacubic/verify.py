@@ -176,12 +176,12 @@ def phi_calculus_suite(n: int = 200, seed: int = 4242) -> tuple:
 def hutchinson_suite(trials: int = 1000, seed: int = 99) -> tuple:
     """Exactness on diagonal curvature, exhaustive unbiasedness, and variance
     reduction in the sample count."""
-    from .hutchinson import exhaustive_diag, hutchinson_diag
+    from .hutchinson import exhaustive_diag, hutchinson_diag, rademacher_probes
     rng = np.random.default_rng(seed)
     ok = True
 
     diag = np.array([3.0, -1.0, 5.0])
-    est = hutchinson_diag(lambda v: diag * v, 3, 1, rng)
+    est = hutchinson_diag(lambda v: diag * v, rademacher_probes(rng, 1, 3))
     exact_err = float(np.max(np.abs(est - diag)))
     if exact_err > 1e-12:
         ok = False
@@ -202,7 +202,7 @@ def hutchinson_suite(trials: int = 1000, seed: int = 99) -> tuple:
     for S in (1, 4, 16):
         devs = np.empty(trials)
         for t in range(trials):
-            est = hutchinson_diag(lambda v: H @ v, d, S, rng)
+            est = hutchinson_diag(lambda v: H @ v, rademacher_probes(rng, S, d))
             devs[t] = np.max(np.abs(est - np.diag(H)))
         medians.append(float(np.median(devs)))
     if not (medians[0] > medians[1] > medians[2]):

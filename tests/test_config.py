@@ -10,6 +10,7 @@ import pytest
 from adacubic import (AdaCubicConfig, IterationClass, adacubic_step,
                       make_quadratic, update_xi)
 from adacubic.config import ALPHA1, ALPHA2, ETA1, ETA2
+from adacubic.hutchinson import rademacher_rows
 
 
 def test_default_hyperparameters():
@@ -139,6 +140,7 @@ def test_nan_rho_propagates_from_update():
     quad = make_quadratic(np.array([1.0]), np.array([1.0]))
     obj = dataclasses.replace(
         quad, eval_fn=lambda x, b=None: 0.0 if x[0] == 0.0 else math.nan)
+    x = np.zeros(1)
     with pytest.raises(ValueError):
-        adacubic_step(obj, np.zeros(1), 1.0, AdaCubicConfig(),
-                      np.random.default_rng(0))
+        adacubic_step(obj, x, 1.0, AdaCubicConfig(),
+                      rademacher_rows(np.random.default_rng(0), 1), obj.eval(x), obj.grad(x))

@@ -8,32 +8,26 @@ import numpy as np
 import pytest
 
 from adacubic import (AdaCubicConfig, IterationClass, Objective,
-                      SubproblemStatus, adacubic_step, adam_step, driver,
+                      SubproblemStatus, adacubic_step, adam_step, driver, hutchinson,
                       make_quadratic, make_rosenbrock, make_saddle,
-                      make_synthetic_logistic, rho, run, run_baseline, sgd_step)
+                      make_synthetic_logistic, run, run_baseline, sgd_step)
 from adacubic.config import ALPHA2, ETA1
+from adacubic.hutchinson import rademacher_rows
 
 CFG = AdaCubicConfig()
 
 
-def test_rho_basic_values():
-    assert rho(1.0, 0.5, 0.5) == pytest.approx(1.0)
-    assert rho(1.0, 1.0, 0.5) == 0.0
-    assert rho(1.0, 2.0, 0.5) == pytest.approx(-2.0)
-
-
-def test_rho_rejects_degenerate_model():
-    with pytest.raises(ZeroDivisionError):
-        rho(1.0, 0.5, 0.0)
-    with pytest.raises(ZeroDivisionError):
-        rho(1.0, 0.5, -1.0)
+def _step(obj, x, xi, **kwargs):
+    """:func:`adacubic_step` on the full objective from x, with the probes
+    that ``run`` draws for seed 0."""
+    probes = rademacher_rows(np.random.default_rng(0), obj.dim)
+    return adacubic_step(obj, x, xi, CFG, probes, obj.eval(x), obj.grad(x), **kwargs)
 
 
 def test_step_lands_on_quadratic_minimizer_when_interior():
     obj = make_quadratic(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     x = np.array([1.0, 1.0])
-    x_new, xi_new, rec = adacubic_step(obj, x, 1000.0, CFG,
-                                       np.random.default_rng(0), iteration=7)
+    x_new, xi_new, rec = _step(obj, x, 1000.0, iteration=7)
     np.testing.assert_allclose(x_new, [-1.0, -0.5], atol=1e-12)
     assert rec.subproblem_status is SubproblemStatus.INTERIOR
     assert rec.nu == 0.0
@@ -48,7 +42,7 @@ def test_step_lands_on_quadratic_minimizer_when_interior():
 def test_step_escapes_saddle_via_hard_case():
     obj = make_saddle()
     x = np.zeros(2)
-    x_new, _, rec = adacubic_step(obj, x, 1.0, CFG, np.random.default_rng(0))
+    x_new, _, rec = _step(obj, x, 1.0)
     assert rec.subproblem_status is SubproblemStatus.HARD_CASE
     assert x_new[1] != 0.0
     assert obj.eval(x_new) < obj.eval(x)
@@ -66,8 +60,7 @@ def test_rejected_step_keeps_point_and_shrinks_xi():
         grad_fn=obj.grad_fn, hvp_fn=obj.hvp_fn,
         exact_diag_fn=obj.exact_diag_fn)
     x = np.array([0.0])
-    x_new, xi_new, rec = adacubic_step(lying, x, 8.0, CFG,
-                                       np.random.default_rng(0))
+    x_new, xi_new, rec = _step(lying, x, 8.0)
     assert not rec.accepted
     assert rec.status is IterationClass.UNSUCCESSFUL
     np.testing.assert_array_equal(x_new, x)
@@ -77,7 +70,7 @@ def test_rejected_step_keeps_point_and_shrinks_xi():
 def test_degenerate_stationary_step_is_terminal_record():
     obj = make_quadratic(np.array([1.0, 2.0]), np.zeros(2))
     x = np.zeros(2)  # gradient is exactly zero, PD curvature
-    x_new, xi_new, rec = adacubic_step(obj, x, 1.0, CFG, np.random.default_rng(0))
+    x_new, xi_new, rec = _step(obj, x, 1.0)
     assert math.isnan(rec.rho)
     assert not rec.accepted
     assert rec.status is IterationClass.UNSUCCESSFUL
@@ -277,17 +270,17 @@ def test_full_batch_run_takes_one_loss_and_at_most_one_gradient_per_iteration(
 
 
 def test_minibatch_run_takes_one_full_gradient_per_epoch_boundary():
-    # an epoch is ceil(60 / 16) = 4 iterations; the first rejected steps of
-    # this run are its 13th, 22nd and 28th, so each epoch accepts a step and
-    # each boundary is at a new point: a budget of 30 reaches the boundaries
-    # 0, 4, ..., 28, and one of 28 ends before its boundary at 28
+    # an epoch is ceil(60 / 16) = 4 iterations; the only rejected step of
+    # this run is its 14th, so each epoch accepts a step and each boundary
+    # is at a new point: a budget of 30 reaches the boundaries 0, 4, ..., 28,
+    # and one of 28 ends before its boundary at 28
     for iters, boundaries in ((30, 8), (28, 7)):
         counted, counts = _counting(make_synthetic_logistic(60, 3, 1e-2, 1))
         traj = run(counted, np.zeros(3), CFG, iters, batch_size=16)
         n = len(traj.records)
         assert n == iters and not any(math.isnan(r.rho) for r in traj.records)
         rejected = [k for k, r in enumerate(traj.records) if not r.accepted]
-        assert rejected[:3] == [12, 21, 27]
+        assert rejected == [13]
         assert _full_gradient_iterations(traj, iters, 4) == list(range(0, iters, 4))
         assert counts == {("grad", "full"): boundaries,
                           ("eval", "batch"): 2 * n, ("grad", "batch"): n,
@@ -333,6 +326,55 @@ def test_full_batch_run_calls_each_layer_once_per_iteration(monkeypatch):
     traj = run(make_rosenbrock(2), np.array([-1.2, 1.0]), CFG, 60)
     assert len(traj.records) == 60 and traj.records == plain.records
     assert counts == {"hutchinson_diag": 60, "root_finder": 60}
+
+
+# ---------------------------------------------------------------------------
+# the run seed's two streams: probes from default_rng(seed), batches apart
+# ---------------------------------------------------------------------------
+
+def _batches_of(run_with, obj, seed):
+    """The batches a minibatch run draws, in order, recorded as its batch
+    gradients see them: each iteration takes exactly one."""
+    batches = []
+
+    def grad(x, batch=None):
+        if batch is not None:
+            batches.append(np.array(batch))
+        return obj.grad_fn(x, batch)
+
+    run_with(dataclasses.replace(obj, grad_fn=grad), seed)
+    return batches
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_every_optimizer_draws_the_same_batches_from_a_seed(seed):
+    # probes come from their own stream, so however many an AdaCubic step
+    # takes, the batch sequence is the one SGD and Adam draw
+    obj, x0 = make_synthetic_logistic(50, 4, 1e-2, 2), np.zeros(4)
+    runs = [lambda o, s: run(o, x0, CFG, 25, 8, seed=s),
+            lambda o, s: run(o, x0, dataclasses.replace(CFG, hutchinson_samples=4),
+                             25, 8, seed=s),
+            lambda o, s: run_baseline(o, x0, "sgd", 0.1, 25, 8, seed=s),
+            lambda o, s: run_baseline(o, x0, "adam", 0.1, 25, 8, seed=s)]
+    first, *others = [_batches_of(r, obj, seed) for r in runs]
+    assert len(first) == 25
+    for batches in others:
+        assert len(batches) == 25
+        assert all(np.array_equal(a, b) for a, b in zip(first, batches))
+
+
+@pytest.mark.parametrize("samples", [1, 4])
+def test_a_minibatch_run_does_not_depend_on_how_its_probes_are_blocked(
+        samples, monkeypatch):
+    # a block of one row, and blocks of 3 rows that an S = 4 step straddles
+    obj, x0 = make_synthetic_logistic(50, 4, 1e-2, 2), np.zeros(4)
+    cfg = dataclasses.replace(CFG, hutchinson_samples=samples)
+    plain = run(obj, x0, cfg, 40, 8, 1e-8, seed=3)
+    for block_bytes in (8, 3 * 8 * obj.dim):
+        monkeypatch.setattr(hutchinson, "BLOCK_BYTES", block_bytes)
+        blocked = run(obj, x0, cfg, 40, 8, 1e-8, seed=3)
+        assert repr(blocked.records) == repr(plain.records)
+        np.testing.assert_array_equal(blocked.final_x, plain.final_x)
 
 
 # ---------------------------------------------------------------------------

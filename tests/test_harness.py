@@ -188,6 +188,13 @@ kind = adam
      "problem.p: x0 must be finite"),
     ("[problem.p]\nkind = rosenbrock\nx0 = nan,1\n[optimizer.o]\nkind = sgd",
      "problem.p: x0 must be finite"),
+    # a size past sys.maxsize fits no array, and the error names its key
+    (f"[problem.p]\nkind = rosenbrock\ndim = {'9' * 400}\n[optimizer.o]\nkind = sgd",
+     "problem.p: dim must be at most sys.maxsize"),
+    (f"[problem.p]\nkind = logistic\nn = {'9' * 30}\n[optimizer.o]\nkind = sgd",
+     "problem.p: n must be at most sys.maxsize"),
+    (f"[problem.p]\nkind = logistic\ndim = {'9' * 19}\n[optimizer.o]\nkind = sgd",
+     "problem.p: dim must be at most sys.maxsize"),
     # a data file sets the size of a logistic problem, so a size key is an error
     ("[problem.p]\nkind = logistic\ndata = d.csv\ndim = 7\n[optimizer.o]\nkind = sgd",
      "problem.p: 'dim' is ignored when 'data' is given"),
