@@ -2,8 +2,10 @@
 
 Every problem is an :class:`Objective`.  Stochastic objectives (finite-sum
 losses) additionally accept a batch of sample indices; ``batch=None`` means
-the full dataset.  All callables are pure and safe to evaluate concurrently
-at distinct points.
+the full dataset.  All callables are pure in their results and safe to
+evaluate concurrently at distinct points.  The logistic objective keeps the
+rows of the last batch it was given (batch x d floats), so the calls of one
+iteration validate and gather their batch once.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ def validate_batch(batch: Batch, num_samples: int) -> None:
     if batch is None:
         return
     idx = np.asarray(batch)
-    if idx.size and (idx.min() < 0 or idx.max() >= num_samples):
+    if idx.dtype.kind not in "iu":
+        raise ValueError("batch indices must be integers")
+    s = np.sort(idx, axis=None)
+    if s.size and (s[0] < 0 or s[-1] >= num_samples):
         raise ValueError("batch indices out of range")
-    if len(np.unique(idx)) != idx.size:
+    if (s[1:] == s[:-1]).any():
         raise ValueError("batch indices must be distinct")
 
 
@@ -139,7 +144,14 @@ def make_saddle() -> Objective:
 
 
 def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> Objective:
-    """L2-regularized logistic regression with +-1 labels and batch support."""
+    """L2-regularized logistic regression with +-1 labels and batch support.
+
+    The objective keeps the rows of the last batch it gathered, batch x d
+    floats, keyed on the indices' dtype, shape and values: a call with an
+    equal batch reuses them, any other batch is validated and gathered
+    afresh.  It reads ``features`` and ``labels`` without copying them when
+    they are already float arrays, so they must not be edited afterwards.
+    """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -154,11 +166,21 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-m))
 
+    # (key, X rows, y rows) of the last batch gathered: one tuple, read once
+    # and swapped whole, so that concurrent calls each see a consistent one
+    last = (None, None, None)
+
     def rows(batch):
-        validate_batch(batch, n)
+        nonlocal last
         if batch is None:
             return X, y
-        return X[batch], y[batch]
+        idx = np.asarray(batch)
+        key = (idx.dtype, idx.shape, idx.tobytes())
+        memo = last
+        if memo[0] != key:
+            validate_batch(idx, n)
+            memo = last = (key, X[idx], y[idx])
+        return memo[1], memo[2]
 
     def f(w, batch=None):
         Xb, yb = rows(batch)

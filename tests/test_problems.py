@@ -2,7 +2,10 @@
 batching, and the brute-force subproblem reference."""
 
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -125,10 +128,16 @@ def test_logistic_label_validation():
 def test_batch_validation():
     validate_batch(None, 10)
     validate_batch(np.array([0, 3, 9]), 10)
-    with pytest.raises(ValueError):
-        validate_batch(np.array([0, 10]), 10)
-    with pytest.raises(ValueError):
-        validate_batch(np.array([1, 1]), 10)
+    validate_batch(np.array([[9, 0], [3, 1]]), 10)
+    for bad in ([0, 10], [-1, 2], [9, 10, 0], [[0, 1], [10, 2]]):
+        with pytest.raises(ValueError, match="out of range"):
+            validate_batch(np.array(bad), 10)
+    for bad in ([1, 1], [3, 1, 3], [[0, 1], [2, 0]]):
+        with pytest.raises(ValueError, match="must be distinct"):
+            validate_batch(np.array(bad), 10)
+    for bad in ([0.0, 1.0], [True, False], []):
+        with pytest.raises(ValueError, match="must be integers"):
+            validate_batch(np.array(bad), 10)
 
 
 def test_draw_batch_distinct_and_seeded():
@@ -154,6 +163,85 @@ def test_logistic_batched_loss_consistency():
     w = np.array([0.1, -0.2, 0.3])
     parts = np.mean([obj.eval(w, np.array([i])) for i in range(30)])
     assert parts == pytest.approx(obj.eval(w), rel=1e-12)
+
+
+def test_logistic_batch_after_a_gathered_one_is_still_checked():
+    # the rows of batch [0, 1] are kept; a float or bool index array of
+    # equal values must not reuse them, and other batches are still checked
+    obj = make_synthetic_logistic(30, 3, 1e-2, 2)
+    w = np.array([0.1, -0.2, 0.3])
+    obj.eval(w, np.array([0, 1]))
+    for bad in (np.array([0.0, 1.0]), np.array([True, False])):
+        for call in (obj.eval, obj.grad):
+            with pytest.raises(ValueError, match="must be integers"):
+                call(w, bad)
+    with pytest.raises(ValueError, match="must be distinct"):
+        obj.eval(w, np.array([1, 1]))
+    with pytest.raises(ValueError, match="out of range"):
+        obj.grad(w, np.array([0, 30]))
+
+
+def test_logistic_batch_edited_in_place_is_gathered_afresh():
+    obj = make_synthetic_logistic(30, 3, 1e-2, 2)
+    w = np.array([0.1, -0.2, 0.3])
+    b = np.array([0, 5, 7])
+    obj.eval(w, b)
+    b[1] = 9
+    fresh = make_synthetic_logistic(30, 3, 1e-2, 2)
+    assert obj.eval(w, b) == fresh.eval(w, b)
+    np.testing.assert_array_equal(obj.grad(w, b), fresh.grad(w, b))
+
+
+def _logistic_data(n=40, d=4, seed=12):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    return X, np.where(rng.random(n) < 0.5, -1.0, 1.0), rng
+
+
+def test_logistic_batches_match_objectives_on_their_rows():
+    # batches A, B, A: each call equals, bit for bit, the full-batch value
+    # of an objective built on that batch's rows alone
+    X, y, rng = _logistic_data()
+    l2 = 1e-2
+    obj = make_logistic(X, y, l2)
+    w, v = rng.standard_normal(4), rng.standard_normal(4)
+    a, b = np.array([3, 0, 17, 8]), np.array([1, 2, 30, 39, 5])
+    for batch in (a, b, a):
+        ref = make_logistic(X[batch], y[batch], l2)
+        assert obj.eval(w, batch) == ref.eval(w)
+        np.testing.assert_array_equal(obj.grad(w, batch), ref.grad(w))
+        np.testing.assert_array_equal(obj.hvp(w, v, batch), ref.hvp(w, v))
+
+
+def test_logistic_batches_are_safe_across_threads():
+    # two threads call the oracle at once, each alternating two batches, so
+    # most calls find the other batch's rows kept: every result must still
+    # be its serial value, bit for bit
+    X, y, rng = _logistic_data()
+    obj = make_logistic(X, y, 1e-2)
+    w, v = rng.standard_normal(4), rng.standard_normal(4)
+    batches = [np.arange(0, 40, 2), np.arange(1, 40, 3)]
+    start = threading.Barrier(2)
+
+    def oracle(batch):
+        return obj.eval(w, batch), obj.grad(w, batch), obj.hvp(w, v, batch)
+
+    def worker(first):
+        start.wait()
+        return [(k, oracle(batches[k])) for k in [first, 1 - first] * 150]
+
+    serial = [oracle(batch) for batch in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the oracle too
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(worker, (0, 1)))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, (f, g, hv) in (item for run in runs for item in run):
+        assert f == serial[k][0]
+        np.testing.assert_array_equal(g, serial[k][1])
+        np.testing.assert_array_equal(hv, serial[k][2])
 
 
 def test_logistic_sigmoid_overflow_is_silent_and_exact():
