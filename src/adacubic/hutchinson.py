@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -48,18 +47,3 @@ def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray],
     if S == 0:
         raise ValueError("hutchinson_diag needs at least one probe row")
     return acc if S == 1 else acc / S  # a / 1 == a
-
-
-def exhaustive_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
-    """Average H(v) * v over all 2^d sign vectors (test utility, d <= 12).
-
-    Turns the unbiasedness of the estimator into a deterministic identity:
-    the off-diagonal cross terms cancel exactly.
-    """
-    if d > 12:
-        raise ValueError("exhaustive enumeration limited to d <= 12")
-    acc = np.zeros(d)
-    for signs in product((-1.0, 1.0), repeat=d):
-        v = np.array(signs)
-        acc += np.asarray(hvp(v), dtype=float) * v
-    return acc / 2 ** d

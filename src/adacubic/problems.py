@@ -230,123 +230,3 @@ def load_logistic_csv(path: str, l2: float = 0.0) -> Objective:
     if data.shape[1] < 2:
         raise ValueError("CSV needs at least one feature column plus a label column")
     return make_logistic(data[:, :-1], data[:, -1], l2)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force subproblem reference
-# ---------------------------------------------------------------------------
-
-BRUTE_FORCE_RESOLUTION = 200  # grid points per axis of the oracle below
-
-
-def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float) -> np.ndarray:
-    """Grid minimizer of g^T s + 1/2 s^T Diag(b) s over ||s||_2^3 <= xi.
-
-    Reference oracle for the dual-variable solver: a grid over the bounding
-    cube, masked to the ball, refined by a local projected-gradient polish
-    (coordinate descent stalls on boundary minimizers, so the polish walks
-    along the sphere instead).  Accuracy is O(xi^(1/3)/resolution) per
-    coordinate.  Deliberately independent of any secular-equation machinery.
-
-    Only the grid rows that can hold the minimum are evaluated.  A row is
-    one grid line along the last axis.  The sums over all other axes are
-    formed once per row; over the row's feasible interval, widened to cover
-    every point the floating-point mask admits, the row's model is at least
-    that sum plus the continuous minimum of g[-1] t + 1/2 b[-1] t^2, less a
-    rounding slack.  One row, the one with the smallest bound, is evaluated
-    for an upper bound V on the grid minimum; then only the rows whose
-    bound is <= V are, in C order.  Each skipped row holds only values
-    strictly above V, so the argmin, with ties going to the first point in
-    C order, is the dense grid's, and every value that is evaluated is
-    summed in axis order as a dense evaluation would.  Working memory is
-    O(resolution^(d-1)).
-    """
-    b = np.asarray(b, dtype=float)
-    g = np.asarray(g, dtype=float)
-    d = b.size
-    if d > 3:
-        raise ValueError("brute force oracle supports d <= 3 only")
-    if xi <= 0.0:
-        raise ValueError("xi must be positive")
-    r = xi ** (1.0 / 3.0)
-    rr = r * r
-    resolution = BRUTE_FORCE_RESOLUTION
-
-    axes = [np.linspace(-r, r, resolution)] * d
-    # model and squared norm summed over every axis but the last, flattened
-    # in C order: one row per grid line along the last axis
-    grids = np.meshgrid(*axes[:-1], indexing="ij", sparse=True)
-    head_m = np.zeros((resolution,) * (d - 1))
-    head_sq = np.zeros((resolution,) * (d - 1))
-    for i in range(d - 1):
-        head_m = head_m + g[i] * grids[i] + 0.5 * b[i] * grids[i] ** 2
-        head_sq = head_sq + grids[i] ** 2
-    head_m, head_sq = head_m.ravel(), head_sq.ravel()
-    last = axes[-1]
-    last_lin, last_quad, last_sq = g[-1] * last, 0.5 * b[-1] * last ** 2, last ** 2
-
-    # A lower bound on every masked value of each row, with u the unit
-    # round-off.  The mask admits t when fl(head_sq + fl(t^2)) <= rr, so
-    # t^2 <= (rr - head_sq + 2.01 u rr)(1 + 1.01 u) < reach^2.  On
-    # |t| <= reach, g t + 1/2 b t^2 is least at -g/b when b > 0 and that
-    # lies inside, else at an end.  A masked value, summed as
-    # fl(fl(head_m + fl(g t)) + fl(1/2 b fl(t^2))), is within 4.1 u of its
-    # terms' sizes of the exact sum; the slack is 16 u of a bound on those
-    # sizes, which also covers the rounding of the bound itself.  A row
-    # with head_sq > rr admits no point and gets an infinite bound.
-    eps = np.finfo(float).eps
-    abs_g, b_last = abs(float(g[-1])), float(b[-1])
-    reach = np.sqrt(np.maximum(rr - head_sq, 0.0) + 4.0 * eps * rr) * (1.0 + 4.0 * eps)
-    t = np.minimum(reach, abs_g / b_last) if b_last > 0.0 else reach
-    bound = (head_m + (0.5 * b_last * t - abs_g) * t
-             - 8.0 * eps * (np.abs(head_m) + (abs_g + 0.5 * abs(b_last) * reach) * reach))
-    bound[head_sq > rr] = np.inf
-
-    # the first minimum, in C order, of the given rows (ascending), summed
-    # into reused buffers: fresh temporaries cost more than the arithmetic
-    slab_rows = min(resolution, head_m.size)
-    m, sq = np.empty((slab_rows, resolution)), np.empty((slab_rows, resolution))
-
-    def first_min(rows):
-        n = rows.size
-        np.add(head_m[rows, None], last_lin, out=m[:n])
-        m[:n] += last_quad
-        np.add(head_sq[rows, None], last_sq, out=sq[:n])
-        m[:n][sq[:n] > rr] = np.inf
-        k = int(np.argmin(m[:n]))
-        return int(rows[k // resolution]) * resolution + k % resolution, m[:n].flat[k]
-
-    # `upper` is a grid value, and every value of a row whose bound exceeds
-    # it is strictly above it, so such a row holds no minimum and no tie of
-    # one; the other rows go in C order, at most `slab_rows` at a time
-    _, upper = first_min(np.array([np.argmin(bound)]))
-    survivors = np.flatnonzero(bound <= upper)
-    best_flat, best_val = 0, np.inf
-    for start in range(0, survivors.size, slab_rows):
-        flat, val = first_min(survivors[start:start + slab_rows])
-        if val < best_val:  # strict: the earliest slab keeps a tie
-            best_flat, best_val = flat, val
-    best = np.unravel_index(best_flat, (resolution,) * d)
-    s = np.array([axes[i][best[i]] for i in range(d)])
-
-    # projected-gradient polish with backtracking, starting from the grid
-    # argmin; moves along the sphere when the constraint is active
-    def model(v):
-        return float(g @ v + 0.5 * v @ (b * v))
-
-    step = 1.0 / max(float(np.max(np.abs(b))), 1e-2)
-    cur = model(s)
-    for _ in range(1000):
-        cand = s - step * (g + b * s)
-        norm = float(np.linalg.norm(cand))
-        if norm > r:
-            cand *= r / norm
-        val = model(cand)
-        if val < cur:
-            s, cur = cand, val
-            step *= 1.2
-        else:
-            step *= 0.5
-            if step < 1e-14 * r:
-                break
-    return s

@@ -23,10 +23,6 @@ KKT_TOL = 1e-8
 MAX_NEWTON_ITERS = 100
 
 
-class ShiftNotPositiveDefiniteError(ValueError):
-    """The requested diagonal shift does not make every entry positive."""
-
-
 class SolverStallError(RuntimeError):
     """The boundary search spent its ``MAX_NEWTON_ITERS`` passes without
     meeting its stop test on a well-posed instance; carries the last iterate."""
@@ -52,13 +48,6 @@ class SubproblemSolution:
     model_decrease: float
 
 
-@dataclass(frozen=True)
-class KktResidual:
-    stationarity: float
-    min_shifted_curvature: float
-    slackness: float
-
-
 def _solve(b, g, nu: float, r: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The shift b + nu r / 2, which must be positive, s = -g / shift and ||s||."""
     shift = b + 0.5 * nu * r
@@ -68,35 +57,9 @@ def _solve(b, g, nu: float, r: float) -> tuple[np.ndarray, np.ndarray, float]:
     return shift, s, math.sqrt(s.dot(s))
 
 
-def _shifted_solve(b: np.ndarray, g: np.ndarray, nu: float,
-                   r: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`_solve`, after checking that every entry of the shift is positive."""
-    least = np.minimum.reduce(b) + 0.5 * nu * r  # min(shift), as rounding is monotone
-    if least <= 0.0:
-        raise ShiftNotPositiveDefiniteError(
-            f"shifted curvature not positive definite: min entry {least:g}")
-    return _solve(b, g, nu, r)
-
-
 def _dphi(shift: np.ndarray, s: np.ndarray, ns: float, r: float) -> float:
-    """:func:`dphi_dnu` from an already computed shift, s and ||s||."""
+    """d(phi)/d(nu) from an already computed shift, s and ||s|| (see verify.dphi_dnu)."""
     return float(0.5 * r * np.add.reduce(s * s / shift) / ns ** 3)
-
-
-def phi(b: np.ndarray, g: np.ndarray, nu: float, r: float, xi: float) -> float:
-    """Secular residual 1/||s(nu, r)|| - 1/xi^(1/3); zero iff ||s|| hits the radius."""
-    ns = _shifted_solve(b, g, nu, r)[2]
-    if ns == 0.0:
-        raise ZeroDivisionError("zero step: phi undefined (g = 0); handle as interior/hard case")
-    return 1.0 / ns - 1.0 / xi ** (1.0 / 3.0)
-
-
-def dphi_dnu(b: np.ndarray, g: np.ndarray, nu: float, r: float) -> float:
-    """d(phi)/d(nu) = (r/2) * sum_i s_i^2 / (b_i + nu r/2) / ||s||^3 > 0."""
-    shift, s, ns = _shifted_solve(b, g, nu, r)
-    if ns == 0.0:
-        raise ZeroDivisionError("zero step: dphi undefined (g = 0)")
-    return _dphi(shift, s, ns, r)
 
 
 def hard_case_step(b: np.ndarray, g: np.ndarray, s_reg: np.ndarray,
@@ -212,16 +175,3 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
                               max(iters_to_band, 0), _model_decrease(b, g, s, nu, ns))
     raise SolverStallError(
         f"dual Newton-bisection failed to converge after {iters} iterations", best)
-
-
-def kkt_residual(b: np.ndarray, g: np.ndarray, sol: SubproblemSolution,
-                 xi: float) -> KktResidual:
-    """First-order optimality diagnostics for a subproblem solution."""
-    b = np.asarray(b, dtype=float)
-    g = np.asarray(g, dtype=float)
-    s = sol.s
-    ns = float(np.linalg.norm(s))
-    stationarity = float(np.max(np.abs(b * s + 0.5 * sol.nu * ns * s + g)))
-    min_shifted = float(b.min() + 0.5 * sol.nu * ns)
-    slackness = float(sol.nu * (ns ** 3 - xi))
-    return KktResidual(stationarity, min_shifted, slackness)

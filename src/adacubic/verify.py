@@ -1,15 +1,207 @@
-"""Self-contained property suites behind the ``verify`` CLI command.
+"""Self-contained property suites behind the ``verify`` CLI command, and the
+reference implementations that the suites and the tests compare against.
 
 Each suite returns (name, passed, detail).  The random instances are
-seeded, so the printed report is byte-identical across invocations.
+seeded, so the printed report is byte-identical across invocations.  No
+run executes the references, and ``import adacubic`` does not import this
+module, so they add nothing to its import time.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from itertools import product
+from typing import Callable
+
 import numpy as np
 
-from .problems import BRUTE_FORCE_RESOLUTION, brute_force_subproblem_min
-from .subproblem import KAPPA_EASY, dphi_dnu, kkt_residual, phi, root_finder
+from .hutchinson import hutchinson_diag, rademacher_probes
+from .subproblem import KAPPA_EASY, SubproblemSolution, _dphi, _solve, root_finder
+
+BRUTE_FORCE_RESOLUTION = 200  # grid points per axis of the oracle below
+
+
+def brute_force_subproblem_min(b: np.ndarray, g: np.ndarray, xi: float) -> np.ndarray:
+    """Grid minimizer of g^T s + 1/2 s^T Diag(b) s over ||s||_2^3 <= xi.
+
+    Reference oracle for the dual-variable solver: a grid over the bounding
+    cube, masked to the ball, refined by a local projected-gradient polish
+    (coordinate descent stalls on boundary minimizers, so the polish walks
+    along the sphere instead).  Accuracy is O(xi^(1/3)/resolution) per
+    coordinate.  Deliberately independent of any secular-equation machinery.
+    Needs finite 1-D b and g of one length 1 <= d <= 3 and 0 < xi < inf;
+    otherwise raises ``ValueError`` before any evaluation.
+
+    Only the grid rows that can hold the minimum are evaluated.  A row is
+    one grid line along the last axis.  The sums over all other axes are
+    formed once per row; over the row's feasible interval, widened to cover
+    every point the floating-point mask admits, the row's model is at least
+    that sum plus the continuous minimum of g[-1] t + 1/2 b[-1] t^2, less a
+    rounding slack.  One row, the one with the smallest bound, is evaluated
+    for an upper bound V on the grid minimum; then only the rows whose
+    bound is <= V are, in C order.  Each skipped row holds only values
+    strictly above V, so the argmin, with ties going to the first point in
+    C order, is the dense grid's, and every value that is evaluated is
+    summed in axis order as a dense evaluation would.  Working memory is
+    O(resolution^(d-1)).
+    """
+    b = np.asarray(b, dtype=float)
+    g = np.asarray(g, dtype=float)
+    d = b.size
+    if b.ndim != 1 or b.shape != g.shape or not 1 <= d <= 3:
+        raise ValueError("b and g must be 1-D arrays of one length 1 <= d <= 3")
+    if not (0.0 < xi < math.inf):  # NaN fails
+        raise ValueError(f"need 0 < xi < inf, got {xi!r}")
+    if not (np.isfinite(b).all() and np.isfinite(g).all()):
+        raise ValueError("b and g must be finite")
+    r = xi ** (1.0 / 3.0)
+    rr = r * r
+    resolution = BRUTE_FORCE_RESOLUTION
+
+    axes = [np.linspace(-r, r, resolution)] * d
+    # model and squared norm summed over every axis but the last, flattened
+    # in C order: one row per grid line along the last axis
+    grids = np.meshgrid(*axes[:-1], indexing="ij", sparse=True)
+    head_m = np.zeros((resolution,) * (d - 1))
+    head_sq = np.zeros((resolution,) * (d - 1))
+    for i in range(d - 1):
+        head_m = head_m + g[i] * grids[i] + 0.5 * b[i] * grids[i] ** 2
+        head_sq = head_sq + grids[i] ** 2
+    head_m, head_sq = head_m.ravel(), head_sq.ravel()
+    last = axes[-1]
+    last_lin, last_quad, last_sq = g[-1] * last, 0.5 * b[-1] * last ** 2, last ** 2
+
+    # A lower bound on every masked value of each row, with u the unit
+    # round-off.  The mask admits t when fl(head_sq + fl(t^2)) <= rr, so
+    # t^2 <= (rr - head_sq + 2.01 u rr)(1 + 1.01 u) < reach^2.  On
+    # |t| <= reach, g t + 1/2 b t^2 is least at -g/b when b > 0 and that
+    # lies inside, else at an end.  A masked value, summed as
+    # fl(fl(head_m + fl(g t)) + fl(1/2 b fl(t^2))), is within 4.1 u of its
+    # terms' sizes of the exact sum; the slack is 16 u of a bound on those
+    # sizes, which also covers the rounding of the bound itself.  A row
+    # with head_sq > rr admits no point and gets an infinite bound.
+    eps = np.finfo(float).eps
+    abs_g, b_last = abs(float(g[-1])), float(b[-1])
+    reach = np.sqrt(np.maximum(rr - head_sq, 0.0) + 4.0 * eps * rr) * (1.0 + 4.0 * eps)
+    t = np.minimum(reach, abs_g / b_last) if b_last > 0.0 else reach
+    bound = (head_m + (0.5 * b_last * t - abs_g) * t
+             - 8.0 * eps * (np.abs(head_m) + (abs_g + 0.5 * abs(b_last) * reach) * reach))
+    bound[head_sq > rr] = np.inf
+
+    # the first minimum, in C order, of the given rows (ascending), summed
+    # into reused buffers: fresh temporaries cost more than the arithmetic
+    slab_rows = min(resolution, head_m.size)
+    m, sq = np.empty((slab_rows, resolution)), np.empty((slab_rows, resolution))
+
+    def first_min(rows):
+        n = rows.size
+        np.add(head_m[rows, None], last_lin, out=m[:n])
+        m[:n] += last_quad
+        np.add(head_sq[rows, None], last_sq, out=sq[:n])
+        m[:n][sq[:n] > rr] = np.inf
+        k = int(np.argmin(m[:n]))
+        return int(rows[k // resolution]) * resolution + k % resolution, m[:n].flat[k]
+
+    # `upper` is a grid value, and every value of a row whose bound exceeds
+    # it is strictly above it, so such a row holds no minimum and no tie of
+    # one; the other rows go in C order, at most `slab_rows` at a time
+    _, upper = first_min(np.array([np.argmin(bound)]))
+    survivors = np.flatnonzero(bound <= upper)
+    best_flat, best_val = 0, np.inf
+    for start in range(0, survivors.size, slab_rows):
+        flat, val = first_min(survivors[start:start + slab_rows])
+        if val < best_val:  # strict: the earliest slab keeps a tie
+            best_flat, best_val = flat, val
+    best = np.unravel_index(best_flat, (resolution,) * d)
+    s = np.array([axes[i][best[i]] for i in range(d)])
+
+    # projected-gradient polish with backtracking, starting from the grid
+    # argmin; moves along the sphere when the constraint is active
+    def model(v):
+        return float(g @ v + 0.5 * v @ (b * v))
+
+    step = 1.0 / max(float(np.max(np.abs(b))), 1e-2)
+    cur = model(s)
+    for _ in range(1000):
+        cand = s - step * (g + b * s)
+        norm = float(np.linalg.norm(cand))
+        if norm > r:
+            cand *= r / norm
+        val = model(cand)
+        if val < cur:
+            s, cur = cand, val
+            step *= 1.2
+        else:
+            step *= 0.5
+            if step < 1e-14 * r:
+                break
+    return s
+
+
+class ShiftNotPositiveDefiniteError(ValueError):
+    """The requested diagonal shift does not make every entry positive."""
+
+
+def _shifted_solve(b: np.ndarray, g: np.ndarray, nu: float,
+                   r: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`_solve`, after checking that every entry of the shift is positive."""
+    least = np.minimum.reduce(b) + 0.5 * nu * r  # min(shift), as rounding is monotone
+    if least <= 0.0:
+        raise ShiftNotPositiveDefiniteError(
+            f"shifted curvature not positive definite: min entry {least:g}")
+    return _solve(b, g, nu, r)
+
+
+def phi(b: np.ndarray, g: np.ndarray, nu: float, r: float, xi: float) -> float:
+    """Secular residual 1/||s(nu, r)|| - 1/xi^(1/3); zero iff ||s|| hits the radius."""
+    ns = _shifted_solve(b, g, nu, r)[2]
+    if ns == 0.0:
+        raise ZeroDivisionError("zero step: phi undefined (g = 0); handle as interior/hard case")
+    return 1.0 / ns - 1.0 / xi ** (1.0 / 3.0)
+
+
+def dphi_dnu(b: np.ndarray, g: np.ndarray, nu: float, r: float) -> float:
+    """d(phi)/d(nu) = (r/2) * sum_i s_i^2 / (b_i + nu r/2) / ||s||^3 > 0."""
+    shift, s, ns = _shifted_solve(b, g, nu, r)
+    if ns == 0.0:
+        raise ZeroDivisionError("zero step: dphi undefined (g = 0)")
+    return _dphi(shift, s, ns, r)
+
+
+@dataclass(frozen=True)
+class KktResidual:
+    stationarity: float
+    min_shifted_curvature: float
+    slackness: float
+
+
+def kkt_residual(b: np.ndarray, g: np.ndarray, sol: SubproblemSolution,
+                 xi: float) -> KktResidual:
+    """First-order optimality diagnostics for a subproblem solution."""
+    b = np.asarray(b, dtype=float)
+    g = np.asarray(g, dtype=float)
+    s = sol.s
+    ns = float(np.linalg.norm(s))
+    stationarity = float(np.max(np.abs(b * s + 0.5 * sol.nu * ns * s + g)))
+    min_shifted = float(b.min() + 0.5 * sol.nu * ns)
+    slackness = float(sol.nu * (ns ** 3 - xi))
+    return KktResidual(stationarity, min_shifted, slackness)
+
+
+def exhaustive_diag(hvp: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
+    """Average H(v) * v over all 2^d sign vectors (test utility, d <= 12).
+
+    Turns the unbiasedness of the estimator into a deterministic identity:
+    the off-diagonal cross terms cancel exactly.
+    """
+    if d > 12:
+        raise ValueError("exhaustive enumeration limited to d <= 12")
+    acc = np.zeros(d)
+    for signs in product((-1.0, 1.0), repeat=d):
+        v = np.array(signs)
+        acc += np.asarray(hvp(v), dtype=float) * v
+    return acc / 2 ** d
 
 
 def random_instance(rng: np.random.Generator, max_dim: int = 10):
@@ -68,7 +260,7 @@ def kkt_suite(n: int = 500, seed: int = 12345) -> tuple:
         # model value must sit below -(nu/12)||s||^3; excess must be <= 1e-10
         excess = model + sol.nu / 12.0 * ns ** 3
         worst["stationarity"] = max(worst["stationarity"], stat_rel)
-        worst["min_shift"] = min(worst.get("min_shift", 0.0), res.min_shifted_curvature)
+        worst["min_shift"] = min(worst["min_shift"], res.min_shifted_curvature)
         worst["model"] = max(worst["model"], excess)
         worst["band_iters"] = max(worst["band_iters"], sol.newton_iters_to_band)
         slack_ok = abs(res.slackness) <= slack_band or sol.nu == 0.0
@@ -176,7 +368,6 @@ def phi_calculus_suite(n: int = 200, seed: int = 4242) -> tuple:
 def hutchinson_suite(trials: int = 1000, seed: int = 99) -> tuple:
     """Exactness on diagonal curvature, exhaustive unbiasedness, and variance
     reduction in the sample count."""
-    from .hutchinson import exhaustive_diag, hutchinson_diag, rademacher_probes
     rng = np.random.default_rng(seed)
     ok = True
 

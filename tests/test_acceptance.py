@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import adacubic
-from adacubic import (AdaCubicConfig, SubproblemStatus, kkt_residual,
-                      make_quadratic, make_rosenbrock, make_saddle,
-                      make_synthetic_logistic, run, run_baseline, verify)
+from adacubic import (AdaCubicConfig, SubproblemStatus, make_quadratic,
+                      make_rosenbrock, make_saddle, make_synthetic_logistic, run,
+                      run_baseline, verify)
 from adacubic.harness import parse_config_text, run_experiment
 from adacubic.subproblem import KAPPA_EASY
+from adacubic.verify import kkt_residual
 
 CFG = AdaCubicConfig()
 

@@ -5,9 +5,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from adacubic import (exhaustive_diag, hutchinson, hutchinson_diag, make_rosenbrock,
-                      make_saddle)
+from adacubic import hutchinson, hutchinson_diag, make_rosenbrock, make_saddle
 from adacubic.hutchinson import BLOCK_BYTES, rademacher_probes, rademacher_rows
+from adacubic.verify import exhaustive_diag
 
 
 def _probes(seed, S, d):

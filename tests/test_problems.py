@@ -1,5 +1,5 @@
 """Built-in objectives (HVPs against a central difference of the gradient),
-batching, and the brute-force subproblem reference."""
+batching, and the brute-force subproblem reference in ``adacubic.verify``."""
 
 import math
 import sys
@@ -10,10 +10,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from adacubic import (brute_force_subproblem_min, draw_batch,
-                      load_logistic_csv, make_logistic, make_quadratic,
-                      make_rosenbrock, make_saddle, make_synthetic_logistic)
-from adacubic.problems import BRUTE_FORCE_RESOLUTION, validate_batch
+from adacubic import (draw_batch, load_logistic_csv, make_logistic,
+                      make_quadratic, make_rosenbrock, make_saddle,
+                      make_synthetic_logistic)
+from adacubic.problems import validate_batch
+from adacubic.verify import BRUTE_FORCE_RESOLUTION, brute_force_subproblem_min
 
 
 def test_quadratic_values():
@@ -317,6 +318,20 @@ def test_brute_force_input_validation():
         brute_force_subproblem_min(np.ones(4), np.ones(4), 1.0)
     with pytest.raises(ValueError):
         brute_force_subproblem_min(np.ones(2), np.ones(2), 0.0)
+    # NaN passes a bare `xi <= 0` check; NaN and inf entries reach the grid
+    for xi in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="0 < xi < inf"):
+            brute_force_subproblem_min(np.ones(2), np.ones(2), xi)
+    for b, g in (([1.0, math.nan], [1.0, 1.0]), ([1.0, 1.0], [1.0, math.inf]),
+                 ([-math.inf], [0.0])):
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_subproblem_min(np.array(b), np.array(g), 1.0)
+    for b, g in ((np.ones(2), np.ones(3)), (np.ones((1, 2)), np.ones((1, 2))),
+                 (np.ones(2), np.ones((2, 1)))):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            brute_force_subproblem_min(b, g, 1.0)
+    with pytest.raises(ValueError, match="1 <= d <= 3"):
+        brute_force_subproblem_min(np.ones(0), np.ones(0), 1.0)
 
 
 def _dense_brute_force(b, g, xi, resolution=BRUTE_FORCE_RESOLUTION):

@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from adacubic import (ShiftNotPositiveDefiniteError, SolverStallError,
-                      SubproblemStatus, brute_force_subproblem_min, dphi_dnu,
-                      hard_case_step, kkt_residual, phi, root_finder, subproblem)
-from adacubic.subproblem import (KAPPA_EASY, KKT_TOL, MAX_NEWTON_ITERS,
-                                 _shifted_solve)
-from adacubic.verify import random_instance
+from adacubic import SolverStallError, SubproblemStatus, root_finder, subproblem
+from adacubic.subproblem import (KAPPA_EASY, KKT_TOL, MAX_NEWTON_ITERS, _solve,
+                                 hard_case_step)
+from adacubic.verify import (ShiftNotPositiveDefiniteError, _shifted_solve,
+                             brute_force_subproblem_min, dphi_dnu, kkt_residual,
+                             phi, random_instance)
 
 # the floor of the scaled instances' xi: part of the definition of that
 # instance family, whose solutions tests/golden.json pins, so it stays 1e-6
@@ -29,17 +29,17 @@ EPS_M = 1e-6
 
 def test_shifted_solve_one_dimensional():
     # (1 + 2*1/2) s = -2  ->  s = -1
-    s = _shifted_solve(np.array([1.0]), np.array([2.0]), 2.0, 1.0)[1]
+    s = _solve(np.array([1.0]), np.array([2.0]), 2.0, 1.0)[1]
     assert s[0] == pytest.approx(-1.0)
 
 
 def test_shifted_solve_zero_gradient():
-    s = _shifted_solve(np.array([1.0, 2.0]), np.zeros(2), 0.5, 1.0)[1]
+    s = _solve(np.array([1.0, 2.0]), np.zeros(2), 0.5, 1.0)[1]
     np.testing.assert_array_equal(s, np.zeros(2))
 
 
 def test_shifted_solve_newton_step():
-    s = _shifted_solve(np.array([2.0, 4.0]), np.array([2.0, 4.0]), 0.0, 1.0)[1]
+    s = _solve(np.array([2.0, 4.0]), np.array([2.0, 4.0]), 0.0, 1.0)[1]
     np.testing.assert_allclose(s, [-1.0, -1.0])
 
 
@@ -51,7 +51,7 @@ def test_shifted_solve_residual_identity():
         g = rng.uniform(-1.0, 1.0, size=d)
         r = float(rng.uniform(0.1, 2.0))
         nu = float(2.0 * max(0.0, -b.min()) / r + rng.uniform(0.1, 2.0))
-        s = _shifted_solve(b, g, nu, r)[1]
+        s = _solve(b, g, nu, r)[1]
         np.testing.assert_allclose((b + 0.5 * nu * r) * s, -g, atol=1e-12)
 
 
@@ -203,16 +203,21 @@ def test_solver_constants():
     assert (KAPPA_EASY, KKT_TOL, MAX_NEWTON_ITERS) == (0.01, 1e-8, 100)
 
 
-def test_solver_does_not_import_the_config():
-    # the solver's tolerances live in its module and the xi floor in the
-    # trust-region rule; neither layer reads the other's
-    tree = ast.parse(inspect.getsource(subproblem))
-    names = []  # every dotted name an import statement mentions
-    for node in ast.walk(tree):
+def imported_names(module) -> list:
+    """Every dotted name an import statement of ``module`` mentions."""
+    names = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
         if isinstance(node, ast.ImportFrom):
             names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
+    return names
+
+
+def test_solver_does_not_import_the_config():
+    # the solver's tolerances live in its module and the xi floor in the
+    # trust-region rule; neither layer reads the other's
+    names = imported_names(subproblem)
     assert not [name for name in names if "config" in name.split(".")]
 
 

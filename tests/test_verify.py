@@ -1,12 +1,20 @@
 """The verify suites: their checks pass on correct code and fail on a
-wrong step."""
+wrong step; and the module stays off the path that ``import adacubic`` and
+a run take."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
-from adacubic import root_finder, verify
-from adacubic.subproblem import dphi_dnu, phi
+import adacubic
+from adacubic import (config, driver, hutchinson, problems, root_finder,
+                      subproblem, verify)
+from adacubic.verify import dphi_dnu, phi
+from test_subproblem import imported_names
 
 EPS = np.finfo(float).eps
 
@@ -135,3 +143,24 @@ def test_probe_check_still_catches_a_step_off_the_minimizer_by_1e_6():
         off = sol.s + 1e-6 * direction
         gap, above = verify.probe_gap(b, g, sol.nu, off, sol.s[None, :])
         assert gap < -1e-13 and not above
+
+
+def test_import_adacubic_does_not_load_verify():
+    # verify's references check the method and no run needs them; the
+    # benchmark's verify-suites setup_s times exactly this import
+    src = os.path.dirname(os.path.dirname(adacubic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, adacubic\n"
+            "print(adacubic.__file__)\n"
+            "print('adacubic.verify' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout.splitlines()
+    assert out == [adacubic.__file__, "False"]
+
+
+@pytest.mark.parametrize("module", [config, problems, hutchinson, subproblem, driver],
+                         ids=lambda module: module.__name__)
+def test_method_modules_do_not_import_verify(module):
+    names = imported_names(module)
+    assert not [name for name in names if "verify" in name.split(".")]
