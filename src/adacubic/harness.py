@@ -31,9 +31,8 @@ import numpy as np
 
 from .config import AdaCubicConfig
 from .driver import Trajectory, run, run_baseline
-from .hutchinson import hutchinson_diag, rademacher_probes
-from .problems import (Objective, draw_batch, load_logistic_csv, make_quadratic,
-                       make_rosenbrock, make_saddle, make_synthetic_logistic)
+from .problems import (Objective, load_logistic_csv, make_quadratic, make_rosenbrock,
+                       make_saddle, make_synthetic_logistic)
 
 TRAJECTORY_HEADER = ("iter,loss_before,loss_after,grad_norm,rho,nu,xi,"
                      "step_norm,status,subproblem_status,accepted")
@@ -84,12 +83,17 @@ def parse_value(raw: str):
 def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     section = params = None
+    keys = {}  # section -> the keys it has set so far
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
+            # [run] may reopen, as each of its keys is still set once
+            if section in keys and section != "run":
+                raise ConfigError(f"line {lineno}: duplicate section [{section}]")
+            keys.setdefault(section, set())
             axis, dot, name = section.partition(".")
             if dot and axis in ("problem", "optimizer"):
                 params = getattr(cfg, axis + "s")[name] = {}
@@ -99,7 +103,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line or section is None:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
         key, _, raw = line.partition("=")
-        key, value = key.strip(), parse_value(raw)
+        key = key.strip()
+        if key in keys[section]:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
+        keys[section].add(key)
+        # out and data name paths, so their text is kept as written
+        value = raw.strip() if key in ("out", "data") else parse_value(raw)
         if section == "run":
             _apply_run_key(cfg, key, value)
         else:
@@ -120,7 +129,7 @@ def _apply_run_key(cfg: ExperimentConfig, key: str, value) -> None:
             raise ConfigError(f"need 0 <= stop_grad_norm < inf, got {value!r}")
         cfg.stop_grad_norm = _as_float(key, value)
     elif key == "out":
-        cfg.out = str(value)
+        cfg.out = value
     else:
         raise ConfigError(f"unknown [run] key: {key}")
 
@@ -186,15 +195,18 @@ def _hyperparameters(params: dict):
 
 def checked_seeds(value) -> list:
     """A parsed ``seeds`` value (one seed or a list) as a list of seeds;
-    raises ConfigError unless it holds one or more integers in [0, 2**64),
-    which keeps each seed's trajectory file name short."""
+    raises ConfigError unless it holds one or more distinct integers in
+    [0, 2**64), which keeps each seed's trajectory file name short and its
+    own."""
     seeds = value if isinstance(value, list) else [value]
     if not seeds:
         raise ConfigError("seeds must be non-empty")
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             raise ConfigError("seeds must be non-negative integers below 2**64, "
                               f"got {seed!r}")
+        if seed in seeds[:i]:
+            raise ConfigError(f"seeds must be distinct, got {seed} twice")
     return seeds
 
 
@@ -206,7 +218,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name, params in cfg.problems.items():
         try:
             obj, _ = cfg.built_problem(params)
-        except (TypeError, ValueError, OverflowError) as err:
+        except (TypeError, ValueError, OverflowError, OSError) as err:
             raise ConfigError(f"problem.{name}: {err}") from None
         if cfg.batch_size is not None and 0 < obj.num_samples < cfg.batch_size:
             raise ConfigError(f"problem.{name}: [run] batch_size = {cfg.batch_size} "
@@ -253,7 +265,7 @@ def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
             for key in ("n", "dim", "data_seed"):
                 if key in params:
                     raise ConfigError(f"{key!r} is ignored when 'data' is given")
-            obj = load_logistic_csv(str(params["data"]), l2)
+            obj = load_logistic_csv(params["data"], l2)
         else:
             n = _checked_int("n", params.get("n", 200))
             d = _checked_int("dim", params.get("dim", 5))
@@ -334,44 +346,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple:
     summary_path = os.path.join(out_dir, "summary.csv")
     write_summary_csv(summary_path, cells, cfg.max_iters)
     return paths, summary_path
-
-
-# ---------------------------------------------------------------------------
-# Subsampling deviation measurements
-# ---------------------------------------------------------------------------
-
-def measure_subsample_deviation(obj: Objective, x: np.ndarray, batch_size: int,
-                                trials: int, S: int, seed: int = 0) -> dict:
-    """Empirical deviations of batched gradient and Hutchinson diagonal.
-
-    Over ``trials`` seeded batch draws, records ||g_batch - g_full||_2 and
-    ||b_batch - diag_full||_inf, and summarizes them with quantiles.  The
-    theoretical bounds involve constants that are not observable, so this
-    reports distributions rather than pass/fail.
-    """
-    if obj.num_samples == 0:
-        raise ValueError("deviation measurement needs a stochastic objective")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 1 <= batch_size <= obj.num_samples:
-        raise ValueError(f"need 1 <= batch_size <= {obj.num_samples}, got {batch_size}")
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float)
-    g_full = obj.grad(x)
-    diag_full = obj.exact_diag_hessian(x)
-    grad_devs = np.empty(trials)
-    diag_devs = np.empty(trials)
-    for t in range(trials):
-        batch = draw_batch(rng, obj.num_samples, batch_size)
-        grad_devs[t] = np.linalg.norm(obj.grad(x, batch) - g_full)
-        b = hutchinson_diag(lambda v: obj.hvp(x, v, batch),
-                            rademacher_probes(rng, S, obj.dim))
-        diag_devs[t] = np.max(np.abs(b - diag_full))
-    qs = [0.1, 0.25, 0.5, 0.75, 0.9]
-    return {
-        "grad_devs": grad_devs,
-        "diag_devs": diag_devs,
-        "quantile_levels": qs,
-        "grad_quantiles": np.quantile(grad_devs, qs),
-        "diag_quantiles": np.quantile(diag_devs, qs),
-    }

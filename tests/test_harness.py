@@ -1,7 +1,6 @@
-"""Config parsing, the experiment grid, CSV schemas, summaries, deviation
-measurement, and the CLI."""
+"""Config parsing, the experiment grid, CSV schemas, summaries, and the CLI
+with its deviation measurement."""
 
-import dataclasses
 import os
 import weakref
 
@@ -11,10 +10,11 @@ import pytest
 from adacubic import cli, harness
 from adacubic.harness import (ConfigError, SUMMARY_HEADER, TRAJECTORY_HEADER,
                               build_problem, load_config, parse_config_text,
-                              measure_subsample_deviation, run_experiment)
+                              run_experiment)
 from adacubic.problems import make_synthetic_logistic
 
 HUGE = "9" * 400  # an integer beyond the largest float, about 1.8e308
+MINIMAL = "[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\n"
 
 BASIC = """
 [run]
@@ -202,6 +202,21 @@ kind = adam
      "problem.p: 'n' is ignored when 'data' is given"),
     ("[problem.p]\nkind = logistic\ndata = d.csv\ndata_seed = 1\n[optimizer.o]\nkind = sgd",
      "problem.p: 'data_seed' is ignored when 'data' is given"),
+    # a repeated section or key would silently replace the first; [run] may
+    # reopen, but each of its keys is still set once
+    (f"{MINIMAL}[problem.p]\nkind = rosenbrock\ndim = 5",
+     "line 5: duplicate section [problem.p]"),
+    (f"{MINIMAL}[optimizer.o]\nkind = adam", "line 5: duplicate section [optimizer.o]"),
+    (f"[run]\nmax_iters = 3\nmax_iters = 4\n{MINIMAL}",
+     "line 3: duplicate key 'max_iters' in [run]"),
+    (f"[run]\nmax_iters = 3\n{MINIMAL}[run]\nmax_iters = 4",
+     "line 8: duplicate key 'max_iters' in [run]"),
+    ("[problem.p]\nkind = rosenbrock\ndim = 3\ndim = 5\n[optimizer.o]\nkind = sgd",
+     "line 4: duplicate key 'dim' in [problem.p]"),
+    (f"{MINIMAL}lr = 0.1\nlr = 0.2", "line 6: duplicate key 'lr' in [optimizer.o]"),
+    # a repeated seed would run twice into one file and count twice in the summary
+    (f"[run]\nseeds = 0,0\n{MINIMAL}", "seeds must be distinct, got 0 twice"),
+    (f"[run]\nseeds = 3,1,2,1\n{MINIMAL}", "seeds must be distinct, got 1 twice"),
     # the subproblem solver's tolerances are constants, not config keys
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nkappa_easy = 0.1",
      "optimizer.o: unknown key 'kappa_easy'"),
@@ -244,6 +259,30 @@ def test_build_problem_from_csv(tmp_path):
     np.savetxt(path, np.column_stack([X, y]), delimiter=",")
     obj, x0 = build_problem({"kind": "logistic", "data": str(path)})
     assert obj.num_samples == 8 and obj.dim == 2
+
+
+@pytest.mark.parametrize("written", ["007", "1e5", "runs,v2"])
+def test_out_is_taken_as_written(written):
+    assert parse_config_text(f"[run]\nout = {written}  # a path\n" + MINIMAL).out == written
+
+
+def test_data_is_taken_as_written(tmp_path, monkeypatch):
+    # a file named 007 is read from 007, not from 7
+    np.savetxt(tmp_path / "007", [[0.5, 1.0], [-0.5, -1.0], [1.5, 1.0]], delimiter=",")
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config_text("[problem.p]\nkind = logistic\ndata = 007\n"
+                            "[optimizer.o]\nkind = sgd\n")
+    assert cfg.problems["p"]["data"] == "007"
+    assert cfg.built_problem(cfg.problems["p"])[0].num_samples == 3
+
+
+def test_unreadable_data_is_a_config_error(tmp_path, capsys):
+    text = f"[problem.p]\nkind = logistic\ndata = {tmp_path}\n[optimizer.o]\nkind = sgd\n"
+    with pytest.raises(ConfigError, match="problem.p: "):
+        parse_config_text(text)
+    assert cli.main(["run", "--config", _write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: problem.p: ")
 
 
 GRID = """
@@ -474,40 +513,6 @@ kind = sgd
         assert len(fh.read().splitlines()) == 4  # the header and three steps
 
 
-def test_deviation_measurement_quantiles():
-    obj = make_synthetic_logistic(128, 4, 1e-2, 0)
-    x = np.zeros(4)
-    small = measure_subsample_deviation(obj, x, 16, 300, 1)
-    large = measure_subsample_deviation(obj, x, 64, 300, 1)
-    assert np.median(large["grad_devs"]) < np.median(small["grad_devs"])
-    many = measure_subsample_deviation(obj, x, 16, 300, 16)
-    assert np.median(many["diag_devs"]) <= np.median(small["diag_devs"])
-    assert list(small["quantile_levels"]) == [0.1, 0.25, 0.5, 0.75, 0.9]
-
-
-def test_deviation_rejects_deterministic_objective():
-    obj, x0 = build_problem({"kind": "saddle"})
-    with pytest.raises(ValueError):
-        measure_subsample_deviation(obj, x0, 4, 10, 1)
-
-
-@pytest.mark.parametrize("batch_size, trials, named", [
-    (4, 0, "trials"), (4, -1, "trials"),
-    (0, 10, "batch_size"), (-3, 10, "batch_size"), (21, 10, "batch_size"),
-])
-def test_deviation_rejects_bad_arguments_before_any_oracle_call(batch_size, trials,
-                                                                 named):
-    obj = make_synthetic_logistic(20, 3, 0.0, 0)
-
-    def refused(*args):
-        raise AssertionError("oracle called")
-
-    untouchable = dataclasses.replace(obj, eval_fn=refused, grad_fn=refused,
-                                      hvp_fn=refused, exact_diag_fn=refused)
-    with pytest.raises(ValueError, match=named):
-        measure_subsample_deviation(untouchable, np.zeros(3), batch_size, trials, 1)
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -543,13 +548,23 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg_path, "--problem", "nope"]) == 2
     assert cli.main(["run", "--config", cfg_path, "--optimizer", "nope"]) == 2
     # a --seeds override is checked as a seeds line in the file is
-    for seeds in ("-1", "0,-2", ",", "1.5", "abc", HUGE):
+    for seeds in ("-1", "0,-2", ",", "1.5", "abc", HUGE, "1,0,1"):
         assert cli.main(["run", "--config", cfg_path, "--seeds", seeds,
                          "--out", str(tmp_path / "o")]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("[run]\nwat = 1\n")
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_deviation_measurement_quantiles():
+    obj = make_synthetic_logistic(128, 4, 1e-2, 0)
+    x = np.zeros(4)
+    small_grad, small_diag = cli._deviations(obj, x, 16, 300, 1)
+    large_grad, _ = cli._deviations(obj, x, 64, 300, 1)
+    assert np.median(large_grad) < np.median(small_grad)
+    _, many_diag = cli._deviations(obj, x, 16, 300, 16)
+    assert np.median(many_diag) <= np.median(small_diag)
 
 
 def test_cli_deviation(tmp_path, capsys):
@@ -566,9 +581,54 @@ kind = adacubic
 """)
     code = cli.main(["deviation", "--config", cfg_path, "--trials", "50"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "quantile,grad_deviation,diag_deviation" in out
-    assert out.count("\n") >= 6
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "quantile,grad_deviation,diag_deviation"
+    assert [line.split(",")[0] for line in lines[2:]] == [
+        "0.10", "0.25", "0.50", "0.75", "0.90"]
+
+
+DEVIATION_PIN = """
+[run]
+seeds = 0
+[problem.quad]
+kind = quadratic
+[problem.log]
+kind = logistic
+n = 40
+dim = 3
+l2 = 0.01
+data_seed = 7
+[optimizer.ac]
+kind = adacubic
+"""
+
+
+@pytest.mark.parametrize("flags, report", [
+    (["--samples", "1"], """\
+problem=log n=40 batch=5 trials=25 S=1
+quantile,grad_deviation,diag_deviation
+0.10,0.12398437698072796,0.12625267207975432
+0.25,0.16460832306646037,0.15166852577636508
+0.50,0.23315336206493509,0.19206079412275501
+0.75,0.26341051160476042,0.23899289617365399
+0.90,0.32684487725411843,0.2652379053172168
+"""),
+    (["--samples", "4", "--batch-size", "10"], """\
+problem=log n=40 batch=10 trials=25 S=4
+quantile,grad_deviation,diag_deviation
+0.10,0.1086931013031442,0.054394056385745224
+0.25,0.12506039275060954,0.093696810179211415
+0.50,0.14608987801493115,0.12343899507010661
+0.75,0.19129201276724631,0.16548931027818842
+0.90,0.22603008606393021,0.17855215774044653
+"""),
+])
+def test_cli_deviation_report_is_pinned(flags, report, tmp_path, capsys):
+    # the first stochastic problem, its batches and probes drawn from
+    # default_rng(0): the report is the same text on every call
+    cfg_path = _write_config(tmp_path, DEVIATION_PIN)
+    assert cli.main(["deviation", "--config", cfg_path, "--trials", "25", *flags]) == 0
+    assert capsys.readouterr().out == report
 
 
 def test_cli_deviation_needs_stochastic_problem(tmp_path):
@@ -594,8 +654,14 @@ kind = adacubic
     (["--batch-size", "0"], "--batch-size"),    # not "unset"
     (["--trials", "0"], "--trials"),
     (["--samples", "0"], "--samples"),
+    (["--batch-size", "21"], "--batch-size"),   # one more than the 20 samples
+    (["--trials", "-1"], "--trials"),
 ])
-def test_cli_deviation_rejects_bad_flags(flags, named, tmp_path, capsys):
+def test_cli_deviation_rejects_bad_flags(flags, named, tmp_path, capsys, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a bad flag reached the measurement")
+
+    monkeypatch.setattr(cli, "_deviations", refused)
     cfg_path = _write_config(tmp_path, DEVIATION_N20)
     assert cli.main(["deviation", "--config", cfg_path, "--trials", "5", *flags]) == 2
     err = capsys.readouterr().err
