@@ -8,7 +8,7 @@ probes.
 
 from .config import AdaCubicConfig, IterationClass, update_xi
 from .driver import (StepRecord, Trajectory, adacubic_step, adam_step, run,
-                     run_baseline, sgd_step)
+                     run_baseline)
 from .hutchinson import hutchinson_diag
 from .problems import (Objective, draw_batch, load_logistic_csv, make_logistic,
                        make_quadratic, make_rosenbrock, make_saddle,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaCubicConfig", "IterationClass", "update_xi",
     "StepRecord", "Trajectory", "adacubic_step", "adam_step", "run",
-    "run_baseline", "sgd_step",
+    "run_baseline",
     "hutchinson_diag",
     "Objective", "draw_batch", "load_logistic_csv", "make_logistic",
     "make_quadratic", "make_rosenbrock", "make_saddle", "make_synthetic_logistic",

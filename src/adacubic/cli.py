@@ -5,7 +5,8 @@ Subcommands:
   deviation  measure subsampling deviations of gradient / diagonal curvature
   verify     run the property suites and print a KKT/duality report
 
-Exit codes: 0 success, 1 any verification/acceptance failure, 2 usage error.
+Exit codes: 0 success, 1 any verification/acceptance failure, 2 usage,
+config or file error.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
         text, ok = verify.report()
         sys.stdout.write(text)
         return 0 if ok else 1
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -149,46 +149,43 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
                     curvature_ok)
 
 
-def sgd_step(x: np.ndarray, g: np.ndarray, lr: float, momentum: float = 0.0,
-             velocity: np.ndarray | None = None):
-    """One SGD step from x with gradient ``g``; returns (x', velocity')."""
-    v = momentum * (velocity if velocity is not None else np.zeros_like(x)) + g
-    return x - lr * v, v
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def adam_step(x: np.ndarray, g: np.ndarray, moments, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One Adam step from x with gradient ``g``; returns (x', moments')."""
+def adam_step(x: np.ndarray, g: np.ndarray, moments, lr: float):
+    """One Adam step from x with gradient ``g``, at Kingma & Ba's (2015)
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``; returns (x', moments')."""
     m, v, t = moments
     t += 1
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    return x - lr * m_hat / (np.sqrt(v_hat) + eps), (m, v, t)
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return x - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), (m, v, t)
 
 
 def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
                  max_iters: int, batch_size: int | None = None,
-                 stop_grad_norm: float = 0.0, seed: int = 0,
-                 momentum: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8) -> Trajectory:
-    """SGD/Adam run in the same loop and record schema as :func:`run`.
+                 stop_grad_norm: float = 0.0, seed: int = 0) -> Trajectory:
+    """SGD (``x - lr * g``) or Adam run in the same loop and record schema as
+    :func:`run`; ``lr`` is the only value either takes.
 
     The trust-region specific fields (rho, nu, xi, statuses) carry NaN /
     placeholder values; every step is taken unconditionally.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
-    vel = np.zeros_like(x0, dtype=float)
-    moments = (vel, vel, 0)
+    zeros = np.zeros_like(x0, dtype=float)
+    moments = (zeros, zeros, 0)
 
     def step(k, x, batch, loss, g):
-        nonlocal vel, moments
+        nonlocal moments
         if optimizer == "sgd":
-            x_new, vel = sgd_step(x, g, lr, momentum, vel)
+            x_new = x - lr * g
         else:
-            x_new, moments = adam_step(x, g, moments, lr, beta1, beta2, eps)
+            x_new, moments = adam_step(x, g, moments, lr)
         s = x_new - x
         return x_new, StepRecord(
             k, loss, obj.eval(x_new, batch), math.sqrt(g @ g),

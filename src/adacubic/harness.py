@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -38,6 +39,9 @@ TRAJECTORY_HEADER = ("iter,loss_before,loss_after,grad_norm,rho,nu,xi,"
                      "step_norm,status,subproblem_status,accepted")
 SUMMARY_HEADER = ("problem,optimizer,mean_final_loss,std_final_loss,"
                   "mean_iters_to_threshold,success_rate")
+# a section name goes into file names and unquoted summary fields; '__'
+# separates the problem from the optimizer in a trajectory file's name
+_SECTION_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class ConfigError(ValueError):
@@ -96,6 +100,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             keys.setdefault(section, set())
             axis, dot, name = section.partition(".")
             if dot and axis in ("problem", "optimizer"):
+                if not _SECTION_NAME.fullmatch(name) or "__" in name:
+                    raise ConfigError(f"line {lineno}: section name {name!r} must be "
+                                      "letters, digits, '_', '.' or '-', without '__'")
                 params = getattr(cfg, axis + "s")[name] = {}
             elif section != "run":
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
@@ -160,13 +167,13 @@ def load_config(path: str) -> ExperimentConfig:
 _PROBLEM_KEYS = {"quadratic": ("diag", "g0", "x0"), "rosenbrock": ("dim", "x0"),
                  "saddle": ("x0",), "logistic": ("l2", "data", "n", "dim", "data_seed", "x0")}
 _OPTIMIZER_KEYS = {"adacubic": tuple(f.name for f in fields(AdaCubicConfig)),
-                   "sgd": ("lr", "momentum"), "adam": ("lr", "beta1", "beta2", "eps")}
+                   "sgd": ("lr",), "adam": ("lr",)}
 
 
 def _checked_kind(params: dict, keys_by_kind: dict) -> str:
     """A section's kind, once it and each other key of the section are known."""
     kind = params.get("kind")
-    if kind not in keys_by_kind:
+    if not isinstance(kind, str) or kind not in keys_by_kind:
         raise ConfigError(f"unknown kind {kind!r}")
     unknown = [k for k in params if k != "kind" and k not in keys_by_kind[kind]]
     if unknown:
@@ -175,22 +182,15 @@ def _checked_kind(params: dict, keys_by_kind: dict) -> str:
 
 
 def _hyperparameters(params: dict):
-    """The checked values of an ``optimizer.*`` section: the section's keys
-    besides ``kind``, as an AdaCubicConfig for adacubic and as run_baseline's
-    keyword arguments (floats, lr included) for sgd and adam."""
-    values = {k: v for k, v in params.items() if k != "kind"}
+    """The checked values of an ``optimizer.*`` section: an AdaCubicConfig for
+    adacubic, and the learning rate ``lr`` (default 0.1) for sgd and adam."""
     if params["kind"] == "adacubic":
         return AdaCubicConfig(**{k: v if k == "hutchinson_samples" else _as_float(k, v)
-                                 for k, v in values.items()})
-    hyper = {}
-    for key, raw in values.items():
-        value = hyper[key] = _as_float(key, raw)
-        if key in ("lr", "eps"):
-            if not (0.0 < value < math.inf):
-                raise ConfigError(f"need 0 < {key} < inf, got {value}")
-        elif not (0.0 <= value < 1.0):  # momentum, beta1, beta2
-            raise ConfigError(f"need 0 <= {key} < 1, got {value}")
-    return hyper
+                                 for k, v in params.items() if k != "kind"})
+    lr = _as_float("lr", params.get("lr", 0.1))
+    if not (0.0 < lr < math.inf):  # NaN fails
+        raise ConfigError(f"need 0 < lr < inf, got {lr}")
+    return lr
 
 
 def checked_seeds(value) -> list:
@@ -285,7 +285,7 @@ def run_one(problem_params: dict, optimizer_params: dict, seed: int,
     hyper = _hyperparameters(optimizer_params)
     if kind == "adacubic":
         return run(obj, x0, hyper, *limits)
-    return run_baseline(obj, x0, kind, hyper.pop("lr", 0.1), *limits, **hyper)
+    return run_baseline(obj, x0, kind, hyper, *limits)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from adacubic import (AdaCubicConfig, IterationClass, Objective,
                       SubproblemStatus, adacubic_step, adam_step, driver, hutchinson,
                       make_quadratic, make_rosenbrock, make_saddle,
-                      make_synthetic_logistic, run, run_baseline, sgd_step)
+                      make_synthetic_logistic, run, run_baseline)
 from adacubic.config import ALPHA2, ETA1
 from adacubic.hutchinson import rademacher_rows
 
@@ -145,19 +145,26 @@ def test_different_seeds_differ_stochastically():
 # ---------------------------------------------------------------------------
 
 def test_sgd_step_definition():
-    obj = make_quadratic(np.array([1.0, 1.0]), np.zeros(2))
-    x = np.array([1.0, 2.0])
-    x_new, vel = sgd_step(x, obj.grad(x), lr=0.1)
-    np.testing.assert_allclose(x_new, x - 0.1 * obj.grad(x))
-    np.testing.assert_allclose(vel, obj.grad(x))
+    obj = make_quadratic(np.array([1.0, 3.0]), np.array([0.5, -1.0]))
+    x0 = np.array([1.0, 2.0])
+    traj = run_baseline(obj, x0, "sgd", 0.1, 1)
+    assert len(traj.records) == 1
+    np.testing.assert_array_equal(traj.final_x, x0 - 0.1 * obj.grad(x0))
 
 
-def test_sgd_momentum_accumulates():
+def test_adam_constants_are_kingma_and_ba_defaults():
+    assert (driver.ADAM_BETA1, driver.ADAM_BETA2, driver.ADAM_EPS) == (0.9, 0.999, 1e-8)
+
+
+@pytest.mark.parametrize("key", ["momentum", "beta1", "beta2", "eps"])
+def test_baselines_take_only_a_learning_rate(key):
     obj = make_quadratic(np.array([1.0]), np.zeros(1))
-    x = np.array([1.0])
-    x1, v1 = sgd_step(x, obj.grad(x), lr=0.1, momentum=0.9)
-    x2, v2 = sgd_step(x1, obj.grad(x1), lr=0.1, momentum=0.9, velocity=v1)
-    np.testing.assert_allclose(v2, 0.9 * v1 + obj.grad(x1))
+    for optimizer in ("sgd", "adam"):
+        with pytest.raises(TypeError):
+            run_baseline(obj, np.ones(1), optimizer, 0.1, 5, **{key: 0.5})
+    with pytest.raises(TypeError):
+        adam_step(np.ones(1), np.ones(1), (np.zeros(1), np.zeros(1), 0), 0.01,
+                  **{key: 0.5})
 
 
 def test_adam_first_step_magnitude():
@@ -206,13 +213,13 @@ def test_run_raises_on_a_non_finite_gradient(batch_size):
 
 
 def test_run_baseline_raises_once_its_iterate_diverges():
-    # SGD with momentum overflows on Rosenbrock from the standard start; a
+    # SGD at lr 0.01 overflows on Rosenbrock from the standard start; a
     # NaN or infinite gradient norm never passes the stop check, so without
     # the raise the run would write NaN rows until its budget
     x0 = np.array([-1.2] + [1.0] * 9)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError):
-        run_baseline(make_rosenbrock(10), x0, "sgd", 0.01, 400, momentum=0.5)
+        run_baseline(make_rosenbrock(10), x0, "sgd", 0.01, 400)
 
 
 # ---------------------------------------------------------------------------
