@@ -136,9 +136,15 @@ def _apply_run_key(cfg: ExperimentConfig, key: str, value) -> None:
             raise ConfigError(f"need 0 <= stop_grad_norm < inf, got {value!r}")
         cfg.stop_grad_norm = _as_float(key, value)
     elif key == "out":
-        cfg.out = value
+        cfg.out = _checked_out(value)
     else:
         raise ConfigError(f"unknown [run] key: {key}")
+
+
+def _checked_out(value: str) -> str:
+    if not value:
+        raise ConfigError("out must name a directory, got ''")
+    return value
 
 
 def _as_float(key: str, value) -> float:
@@ -185,8 +191,7 @@ def _hyperparameters(params: dict):
     """The checked values of an ``optimizer.*`` section: an AdaCubicConfig for
     adacubic, and the learning rate ``lr`` (default 0.1) for sgd and adam."""
     if params["kind"] == "adacubic":
-        return AdaCubicConfig(**{k: v if k == "hutchinson_samples" else _as_float(k, v)
-                                 for k, v in params.items() if k != "kind"})
+        return AdaCubicConfig(**{k: v for k, v in params.items() if k != "kind"})
     lr = _as_float("lr", params.get("lr", 0.1))
     if not (0.0 < lr < math.inf):  # NaN fails
         raise ConfigError(f"need 0 < lr < inf, got {lr}")
@@ -321,9 +326,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple:
     """Run the (problem x optimizer x seed) grid; write per-run trajectory CSVs
     plus a summary CSV.  A failed run counts as unsuccessful and the grid
     continues.  Of a run's records only its final loss and their number are
-    kept.  Returns (trajectory paths, summary path).
+    kept.  Returns (trajectory paths, summary path); an empty ``out_dir``, or
+    an empty ``cfg.out`` when ``out_dir`` is None, is a ConfigError.
     """
-    out_dir = out_dir or cfg.out
+    out_dir = _checked_out(cfg.out if out_dir is None else out_dir)
     os.makedirs(out_dir, exist_ok=True)
     cells = {}
     paths = []

@@ -158,6 +158,8 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         raise ValueError("features must be n x d with one label per row")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +-1")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
     if not (0.0 <= l2 < math.inf):  # NaN fails
         raise ValueError(f"need 0 <= l2 < inf, got {l2}")
     n, d = X.shape

@@ -2,12 +2,13 @@
 and the SGD / Adam baselines."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from adacubic import (AdaCubicConfig, IterationClass, Objective,
+from adacubic import (AdaCubicConfig, IterationClass, Objective, SolverStallError,
                       SubproblemStatus, adacubic_step, adam_step, driver, hutchinson,
                       make_quadratic, make_rosenbrock, make_saddle,
                       make_synthetic_logistic, run, run_baseline)
@@ -471,3 +472,44 @@ def test_a_non_finite_start_raises_at_the_first_stop_test(x0):
     obj = make_synthetic_logistic(40, 3, 1e-2, 1)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
         run_baseline(obj, np.array(x0), "sgd", 0.1, 5, batch_size=8)
+
+
+# the four runs of the scale check: (objective, x0, batch size)
+SCALE_RUNS = {
+    "rosenbrock-2": lambda: (make_rosenbrock(2), np.array([-1.2, 1.0]), None),
+    "rosenbrock-10": lambda: (make_rosenbrock(10), np.array([-1.2] + [1.0] * 9), None),
+    "logistic-full": lambda: (make_synthetic_logistic(400, 10, 0.0, 0), np.zeros(10), None),
+    "logistic-32": lambda: (make_synthetic_logistic(400, 10, 0.0, 0), np.zeros(10), 32),
+}
+
+
+@functools.cache
+def _scale_run(name: str, k: int):
+    """300 iterations of ``run`` at stop 0 and seed 0 on the objective
+    ``name`` with its loss, gradient and HVPs multiplied by c = 2**k."""
+    base, x0, batch_size = SCALE_RUNS[name]()
+    c = 2.0 ** k
+    obj = dataclasses.replace(
+        base, eval_fn=lambda x, b=None: c * base.eval_fn(x, b),
+        grad_fn=lambda x, b=None: c * base.grad_fn(x, b),
+        hvp_fn=lambda x, v, b=None: c * base.hvp_fn(x, v, b), exact_diag_fn=None)
+    return run(obj, x0, CFG, 300, batch_size, 0.0, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, SolverStallError),
+                   reason="root_finder's eigenvalue margin, stop test and "
+                   "bisection start are absolute in units of f")
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+@pytest.mark.parametrize("name", SCALE_RUNS)
+def test_scaling_f_by_a_power_of_two_changes_no_step(name, k):
+    # c * f has the same steps as f: each loss, gradient and HVP scales by c
+    # exactly, so rho, xi and s are the same in floating point, and nu
+    # scales by c
+    c = 2.0 ** k
+    want, got = _scale_run(name, 0), _scale_run(name, k)
+
+    def steps(traj, scale):
+        return np.array([(r.rho, r.xi, r.step_norm, r.nu * scale) for r in traj.records])
+
+    np.testing.assert_array_equal(steps(got, 1.0), steps(want, c))
+    np.testing.assert_array_equal(got.final_x, want.final_x)

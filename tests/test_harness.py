@@ -90,18 +90,19 @@ kind = adam
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = true",
      "optimizer.o: lr must be a number, got 'true'"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = true",
-     "optimizer.o: xi0 must be a number, got 'true'"),
+     "optimizer.o: unknown key 'xi0' for kind 'adacubic'"),
     # every value of a section is converted and range-checked at load
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = abc",
      "optimizer.o: lr must be a number"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = -1",
      "optimizer.o: need 0 < lr"),
+    # the xi floor and the initial xi are constants, not keys
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = -1",
-     "optimizer.o: need eps_m <= xi0"),
+     "optimizer.o: unknown key 'xi0' for kind 'adacubic'"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = abc",
-     "optimizer.o: xi0 must be a number, got 'abc'"),
+     "optimizer.o: unknown key 'xi0' for kind 'adacubic'"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\neps_m = abc",
-     "optimizer.o: eps_m must be a number, got 'abc'"),
+     "optimizer.o: unknown key 'eps_m' for kind 'adacubic'"),
     ("[problem.p]\nkind = logistic\nl2 = abc\n[optimizer.o]\nkind = sgd",
      "problem.p: l2 must be a number, got 'abc'"),
     ("[problem.p]\nkind = saddle\nx0 = 1,abc\n[optimizer.o]\nkind = sgd",
@@ -116,9 +117,9 @@ kind = adam
     (f"[run]\nstop_grad_norm = {HUGE}\n[problem.p]\nkind = saddle\n[optimizer.o]\n"
      "kind = sgd", "stop_grad_norm is too large for a float"),
     (f"[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\nxi0 = {HUGE}",
-     "optimizer.o: xi0 is too large for a float"),
+     "optimizer.o: unknown key 'xi0' for kind 'adacubic'"),
     (f"[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\neps_m = {HUGE}",
-     "optimizer.o: eps_m is too large for a float"),
+     "optimizer.o: unknown key 'eps_m' for kind 'adacubic'"),
     (f"[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\nlr = {HUGE}",
      "optimizer.o: lr is too large for a float"),
     ("[problem.p]\nkind = saddle\n[optimizer.o]\nkind = adacubic\n"
@@ -279,6 +280,35 @@ def test_build_problem_from_csv(tmp_path):
 @pytest.mark.parametrize("written", ["007", "1e5", "runs,v2"])
 def test_out_is_taken_as_written(written):
     assert parse_config_text(f"[run]\nout = {written}  # a path\n" + MINIMAL).out == written
+
+
+def test_empty_out_is_a_config_error():
+    with pytest.raises(ConfigError, match="out must name a directory"):
+        parse_config_text("[run]\nout =\n" + MINIMAL)
+
+
+def test_empty_out_flag_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # an empty --out is refused, not replaced by the config's out
+    monkeypatch.chdir(tmp_path)
+    cfg_path = _write_config(tmp_path, f"{BASIC}[run]\nout = {tmp_path / 'cfg_out'}\n")
+    assert cli.main(["run", "--config", cfg_path, "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: out must name a directory")
+    assert not os.path.exists(tmp_path / "cfg_out")
+    with pytest.raises(ConfigError, match="out must name a directory"):
+        run_experiment(load_config(cfg_path), "")
+
+
+def test_nan_features_are_a_config_error(tmp_path, capsys):
+    # a run on them would fail, and the grid would still exit 0
+    path = tmp_path / "f.csv"
+    path.write_text("0.5,1\nnan,-1\n1.5,1\n")
+    text = f"[problem.p]\nkind = logistic\ndata = {path}\n[optimizer.o]\nkind = adacubic\n"
+    with pytest.raises(ConfigError, match="problem.p: features must be finite"):
+        parse_config_text(text)
+    assert cli.main(["run", "--config", _write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: problem.p: features must be finite\n"
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_data_is_taken_as_written(tmp_path, monkeypatch):

@@ -126,6 +126,14 @@ def test_logistic_label_validation():
             make_logistic(X, np.array([1.0, -1.0, 1.0]), l2=l2)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_logistic_features_must_be_finite(bad):
+    X = np.ones((3, 2))
+    X[1, 0] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        make_logistic(X, np.array([1.0, -1.0, 1.0]))
+
+
 def test_batch_validation():
     validate_batch(None, 10)
     validate_batch(np.array([0, 3, 9]), 10)

@@ -19,7 +19,7 @@ from adacubic.verify import (ShiftNotPositiveDefiniteError, _shifted_solve,
 
 # the floor of the scaled instances' xi: part of the definition of that
 # instance family, whose solutions tests/golden.json pins, so it stays 1e-6
-# whatever the default eps_m of AdaCubicConfig
+# whatever AdaCubicConfig.eps_m becomes
 EPS_M = 1e-6
 
 
