@@ -77,7 +77,7 @@ def _deviations(obj: Objective, x: np.ndarray, batch_size: int, trials: int,
     for t in range(trials):
         batch = draw_batch(rng, obj.num_samples, batch_size)
         grad_devs[t] = np.linalg.norm(obj.grad(x, batch) - g_full)
-        b = hutchinson_diag(lambda v: obj.hvp(x, v, batch),
+        b = hutchinson_diag(lambda V: obj.hvp(x, V, batch),
                             rademacher_probes(rng, S, obj.dim))
         diag_devs[t] = np.max(np.abs(b - diag_full))
     return grad_devs, diag_devs

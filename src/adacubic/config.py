@@ -38,7 +38,8 @@ class AdaCubicConfig:
 
     def __post_init__(self):
         count = self.hutchinson_samples
-        # sys.maxsize is the largest probe count itertools.islice accepts
+        # sys.maxsize is numpy's largest array dimension, the most rows a
+        # probe block can have; a smaller count may still be too large to allocate
         if (isinstance(count, bool) or not isinstance(count, int)
                 or not 1 <= count <= sys.maxsize):
             raise ValueError("hutchinson_samples must be an integer in "

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .config import AdaCubicConfig, IterationClass, update_xi
-from .hutchinson import hutchinson_diag, rademacher_rows
+from .hutchinson import hutchinson_diag, rademacher_blocks
 from .problems import Objective, draw_batch
 from .subproblem import SubproblemStatus, root_finder
 
@@ -90,8 +89,9 @@ def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
                   probes, loss_before: float, g: np.ndarray, batch=None, iteration=0):
     """One iteration from x, whose loss and gradient on ``batch`` (the full
     objective when None) are ``loss_before`` and ``g``: estimate curvature
-    from the next ``cfg.hutchinson_samples`` rows of the iterator ``probes``,
-    solve the subproblem, accept or reject.
+    from the next (S, d) probe block of the iterator ``probes`` in one block
+    HVP, solve the subproblem, accept or reject.  A block whose S is not
+    ``cfg.hutchinson_samples`` is a ValueError.
 
     The HVPs and the post-step loss are on ``batch`` too; ``iteration``
     numbers the record.  A degenerate step (no predicted decrease) evaluates
@@ -99,8 +99,11 @@ def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
     class UNSUCCESSFUL, and xi is kept.  Returns (x', xi', record); x' is x
     when the step is rejected or degenerate.
     """
-    b = hutchinson_diag(lambda v: obj.hvp(x, v, batch),
-                        islice(probes, cfg.hutchinson_samples))
+    V = next(probes)
+    if len(V) != cfg.hutchinson_samples:
+        raise ValueError(f"a block of {len(V)} probes for hutchinson_samples = "
+                         f"{cfg.hutchinson_samples}")
+    b = hutchinson_diag(lambda V: obj.hvp(x, V, batch), V)
     sol = root_finder(b, g, xi)
     s = sol.s
     step_norm = math.sqrt(s.dot(s))
@@ -130,14 +133,15 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
     vanishes exactly) are escaped rather than reported as converged.  A
     degenerate full-batch step (no predicted decrease) ends the run.  Two
     runs with the same seed and config are bit-identical; the probes are
-    drawn ahead from ``default_rng(seed)`` by :func:`rademacher_rows`.
+    drawn ahead from ``default_rng(seed)`` by :func:`rademacher_blocks`, one
+    block of ``cfg.hutchinson_samples`` rows per estimate.
     """
     xi = float(cfg.xi0)
-    probes = rademacher_rows(np.random.default_rng(seed), obj.dim)
+    probes = rademacher_blocks(np.random.default_rng(seed), cfg.hutchinson_samples,
+                               obj.dim)
 
     def curvature_ok(x: np.ndarray) -> bool:
-        b = hutchinson_diag(lambda v: obj.hvp(x, v),
-                            islice(probes, cfg.hutchinson_samples))
+        b = hutchinson_diag(lambda V: obj.hvp(x, V), next(probes))
         return float(b.min()) >= 0.0
 
     def step(k, x, batch, loss, g):

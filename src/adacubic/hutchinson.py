@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-BLOCK_BYTES = 1 << 16  # the most bytes of probes that rademacher_rows draws at once
+BLOCK_BYTES = 1 << 16  # the most bytes of probes that rademacher_blocks draws at once
 
 
 def rademacher_probes(rng: np.random.Generator, S: int, d: int) -> np.ndarray:
@@ -22,28 +22,40 @@ def rademacher_probes(rng: np.random.Generator, S: int, d: int) -> np.ndarray:
     return rng.integers(0, 2, size=(S, d)).astype(float) * 2.0 - 1.0
 
 
-def rademacher_rows(rng: np.random.Generator, d: int) -> Iterator[np.ndarray]:
-    """Successive :func:`rademacher_probes` rows from ``rng``, drawn ahead in blocks
-    of at most BLOCK_BYTES (or one row); draw nothing else from ``rng``."""
-    rows = max(1, BLOCK_BYTES // (8 * max(d, 1)))  # the draw rejects d < 1
+def rademacher_blocks(rng: np.random.Generator, S: int, d: int) -> Iterator[np.ndarray]:
+    """Successive (S, d) blocks of :func:`rademacher_probes` rows from ``rng``,
+    drawn ahead in draws of at most BLOCK_BYTES (or one block); draw nothing
+    else from ``rng``.  Each block holds the rows that one draw of S rows
+    would give."""
+    if S < 1:
+        raise ValueError("S must be >= 1")
+    blocks = max(1, BLOCK_BYTES // (8 * S * max(d, 1)))  # the draw rejects d < 1
     while True:
-        yield from rademacher_probes(rng, rows, d)
+        yield from rademacher_probes(rng, blocks * S, d).reshape(blocks, S, d)
 
 
-def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray],
-                    probes: Iterable[np.ndarray]) -> np.ndarray:
-    """Average of H(v) * v over the Rademacher probe rows v of ``probes``.
+def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], V: np.ndarray) -> np.ndarray:
+    """Average of H(v) * v over the Rademacher probe rows v of the (S, d) block V.
 
-    Unbiased for diag(H); exact for diagonal H at any number of probes since
-    v*v == 1.  Accumulation is sequential over the rows, for bit-reproducibility.
+    One ``hvp(V)`` call must return the S products as the rows of an (S, d)
+    array; any other shape is a ValueError.  Unbiased for diag(H); exact for
+    diagonal H at any number of probes since v*v == 1.  The rows are summed
+    in order from 0.0, for bit-reproducibility.
     """
-    acc, S = 0.0, 0
-    for S, v in enumerate(probes, 1):
-        hv = np.asarray(hvp(v), dtype=float)
-        # hv.dot(hv) is finite iff every entry is, unless it overflows
-        if not math.isfinite(hv.dot(hv)) and not np.isfinite(hv).all():
-            raise FloatingPointError("non-finite Hessian-vector product")
-        acc = acc + hv * v  # the first sum turns -0.0 into 0.0
+    S = len(V)
     if S == 0:
         raise ValueError("hutchinson_diag needs at least one probe row")
-    return acc if S == 1 else acc / S  # a / 1 == a
+    hv = np.asarray(hvp(V), dtype=float)
+    if hv.shape != np.shape(V):
+        raise ValueError(f"hvp returned shape {hv.shape} for a probe block of "
+                         f"shape {np.shape(V)}")
+    # the sum of squares is finite iff every entry is, unless it overflows
+    if not math.isfinite(np.vdot(hv, hv)) and not np.isfinite(hv).all():
+        raise FloatingPointError("non-finite Hessian-vector product")
+    p = hv * V
+    # np.add.accumulate walks a (1, d) block column by column, ~10x dearer
+    # at d = 1000 than the one add
+    if S == 1:
+        return 0.0 + p[0]  # turns -0.0 into 0.0
+    # the running sum adds the rows in order
+    return (0.0 + np.add.accumulate(p, axis=0)[-1]) / S

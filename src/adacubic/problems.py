@@ -24,6 +24,9 @@ class Objective:
     dim: int
     eval_fn: Callable[[np.ndarray, Batch], float]
     grad_fn: Callable[[np.ndarray, Batch], np.ndarray]
+    # hvp_fn(x, v, batch) is H(x) v for v of shape (d,), and for an (S, d)
+    # block v the (S, d) array of the products with its rows; every
+    # estimate passes a block, so H @ v must be written v @ H.T
     hvp_fn: Callable[[np.ndarray, np.ndarray, Batch], np.ndarray]
     exact_diag_fn: Callable[[np.ndarray], np.ndarray] | None = None
     num_samples: int = 0  # 0 = deterministic
@@ -114,9 +117,10 @@ def make_rosenbrock(d: int) -> Objective:
 
     def hvp(x, v, b=None):
         off = -400.0 * x[:-1]  # H[i, i+1] = H[i+1, i]
-        out = diag(x) * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
+        out = diag(x) * v  # v is one vector or a block of rows
+        lo, hi = out[..., :-1], out[..., 1:]
+        np.add(lo, off * v[..., 1:], out=lo)
+        np.add(hi, off * v[..., :-1], out=hi)
         return out
 
     return Objective(dim=d, eval_fn=f, grad_fn=g, hvp_fn=hvp, exact_diag_fn=diag)
@@ -198,11 +202,12 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         return Xb.T @ (-yb * sig) / len(yb) + l2 * w
 
     def hvp(w, v, batch=None):
+        # one margin and weight vector for all rows of a block v
         Xb, yb = rows(batch)
         m = -yb * (Xb @ w)
         sig = sigmoid(m)
         weights = sig * (1.0 - sig)
-        return Xb.T @ (weights * (Xb @ v)) / len(yb) + l2 * v
+        return (weights * (Xb @ v.T).T) @ Xb / len(yb) + l2 * v
 
     def diag(w):
         m = -y * (X @ w)

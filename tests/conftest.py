@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from adacubic import root_finder
+from adacubic import root_finder, verify
 
 from test_acceptance import run_criterion_6b
 from test_subproblem import _kkt_instances
@@ -25,3 +25,17 @@ def criterion_6b():
     """Criterion 6b's run, made once for its acceptance test and the golden
     pin: the trajectory and the seconds it took."""
     return run_criterion_6b()
+
+
+@pytest.fixture(scope="session")
+def suites():
+    """The ``verify.all_suites()`` results, run once for criteria 2, 3, 4
+    and 8 and the pinned ``verify`` report, and the seconds each suite
+    took, by name."""
+    results, seconds = [], {}
+    for suite in (verify.kkt_suite, verify.duality_suite,
+                  verify.phi_calculus_suite, verify.hutchinson_suite):
+        start = time.perf_counter()
+        results.append(suite())
+        seconds[results[-1][0]] = time.perf_counter() - start
+    return results, seconds

@@ -29,19 +29,6 @@ def _report(criterion: str, ok: bool, detail: str):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def suites():
-    """The ``verify.all_suites()`` results, run once for criteria 2, 3, 4
-    and 8, and the seconds each suite took, by name."""
-    results, seconds = [], {}
-    for suite in (verify.kkt_suite, verify.duality_suite,
-                  verify.phi_calculus_suite, verify.hutchinson_suite):
-        start = time.perf_counter()
-        results.append(suite())
-        seconds[results[-1][0]] = time.perf_counter() - start
-    return results, seconds
-
-
 def _suite(suites, name):
     return next(result for result in suites[0] if result[0] == name)
 

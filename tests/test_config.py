@@ -10,7 +10,7 @@ import pytest
 from adacubic import (AdaCubicConfig, IterationClass, adacubic_step,
                       make_quadratic, update_xi)
 from adacubic.config import ALPHA1, ALPHA2, ETA1, ETA2
-from adacubic.hutchinson import rademacher_rows
+from adacubic.hutchinson import rademacher_blocks
 
 
 def test_default_hyperparameters():
@@ -36,7 +36,8 @@ def test_trust_region_constants_are_not_fields(name):
     # the count is an integer, not a float or a bool
     {"hutchinson_samples": 2.5},
     {"hutchinson_samples": True},
-    # and at most sys.maxsize, the most probes itertools.islice can take
+    # and at most sys.maxsize, numpy's largest array dimension: the probe
+    # block has S rows
     {"hutchinson_samples": sys.maxsize + 1},
     {"hutchinson_samples": 10 ** 30},
 ])
@@ -46,6 +47,7 @@ def test_invalid_config_rejected(kwargs):
 
 
 def test_the_largest_probe_count_is_accepted():
+    # validation only: a run at this count would allocate S x d probes
     assert AdaCubicConfig(hutchinson_samples=sys.maxsize).hutchinson_samples == sys.maxsize
 
 
@@ -139,4 +141,5 @@ def test_nan_rho_propagates_from_update():
     x = np.zeros(1)
     with pytest.raises(ValueError):
         adacubic_step(obj, x, 1.0, AdaCubicConfig(),
-                      rademacher_rows(np.random.default_rng(0), 1), obj.eval(x), obj.grad(x))
+                      rademacher_blocks(np.random.default_rng(0), 1, 1), obj.eval(x),
+                      obj.grad(x))

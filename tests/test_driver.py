@@ -13,7 +13,7 @@ from adacubic import (AdaCubicConfig, IterationClass, Objective, SolverStallErro
                       make_quadratic, make_rosenbrock, make_saddle,
                       make_synthetic_logistic, run, run_baseline)
 from adacubic.config import ALPHA2, ETA1
-from adacubic.hutchinson import rademacher_rows
+from adacubic.hutchinson import rademacher_blocks
 
 CFG = AdaCubicConfig()
 
@@ -21,8 +21,18 @@ CFG = AdaCubicConfig()
 def _step(obj, x, xi, **kwargs):
     """:func:`adacubic_step` on the full objective from x, with the probes
     that ``run`` draws for seed 0."""
-    probes = rademacher_rows(np.random.default_rng(0), obj.dim)
+    probes = rademacher_blocks(np.random.default_rng(0), CFG.hutchinson_samples, obj.dim)
     return adacubic_step(obj, x, xi, CFG, probes, obj.eval(x), obj.grad(x), **kwargs)
+
+
+@pytest.mark.parametrize("S, block", [(1, 4), (4, 1), (4, 3)])
+def test_a_probe_block_of_another_size_is_refused(S, block):
+    obj = make_quadratic(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    x = np.array([1.0, 1.0])
+    cfg = dataclasses.replace(CFG, hutchinson_samples=S)
+    probes = rademacher_blocks(np.random.default_rng(0), block, obj.dim)
+    with pytest.raises(ValueError, match="hutchinson_samples"):
+        adacubic_step(obj, x, 1.0, cfg, probes, obj.eval(x), obj.grad(x))
 
 
 def test_step_lands_on_quadratic_minimizer_when_interior():
@@ -272,8 +282,8 @@ def test_full_batch_run_takes_one_loss_and_at_most_one_gradient_per_iteration(
     degenerate = sum(math.isnan(r.rho) for r in traj.records)
     assert counts[("eval", "full")] == 1 + steps - degenerate
     assert counts[("grad", "full")] == len(_full_gradient_iterations(traj, iters))
-    # plus the stop check's probes, at each point where the gradient is small
-    assert counts[("hvp", "full")] >= CFG.hutchinson_samples * steps
+    # plus the stop check's block, at each point where the gradient is small
+    assert counts[("hvp", "full")] >= steps
     assert set(counts) == {("eval", "full"), ("grad", "full"), ("hvp", "full")}
 
 
@@ -336,6 +346,20 @@ def test_full_batch_run_calls_each_layer_once_per_iteration(monkeypatch):
     assert counts == {"hutchinson_diag": 60, "root_finder": 60}
 
 
+@pytest.mark.parametrize("obj, x0, batch_size", [
+    (make_rosenbrock(2), np.array([-1.2, 1.0]), None),
+    (make_synthetic_logistic(60, 3, 1e-2, 1), np.zeros(3), None),
+    (make_synthetic_logistic(60, 3, 1e-2, 1), np.zeros(3), 16),
+])
+def test_s_probes_cost_one_hvp_call_per_iteration(obj, x0, batch_size):
+    counted, counts = _counting(obj)
+    cfg = dataclasses.replace(CFG, hutchinson_samples=4)
+    traj = run(counted, x0, cfg, 40, batch_size)  # stop 0: no stop-test estimate
+    assert len(traj.records) == 40
+    kind = "full" if batch_size is None else "batch"
+    assert {key: n for key, n in counts.items() if key[0] == "hvp"} == {("hvp", kind): 40}
+
+
 # ---------------------------------------------------------------------------
 # the run seed's two streams: probes from default_rng(seed), batches apart
 # ---------------------------------------------------------------------------
@@ -374,11 +398,11 @@ def test_every_optimizer_draws_the_same_batches_from_a_seed(seed):
 @pytest.mark.parametrize("samples", [1, 4])
 def test_a_minibatch_run_does_not_depend_on_how_its_probes_are_blocked(
         samples, monkeypatch):
-    # a block of one row, and blocks of 3 rows that an S = 4 step straddles
+    # draws of one block (the cap is below one row), and of three blocks
     obj, x0 = make_synthetic_logistic(50, 4, 1e-2, 2), np.zeros(4)
     cfg = dataclasses.replace(CFG, hutchinson_samples=samples)
     plain = run(obj, x0, cfg, 40, 8, 1e-8, seed=3)
-    for block_bytes in (8, 3 * 8 * obj.dim):
+    for block_bytes in (8, 3 * 8 * obj.dim * samples):
         monkeypatch.setattr(hutchinson, "BLOCK_BYTES", block_bytes)
         blocked = run(obj, x0, cfg, 40, 8, 1e-8, seed=3)
         assert repr(blocked.records) == repr(plain.records)

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from adacubic import cli, harness
+from adacubic import cli, harness, verify
 from adacubic.harness import (ConfigError, SUMMARY_HEADER, TRAJECTORY_HEADER,
                               build_problem, load_config, parse_config_text,
                               run_experiment)
@@ -670,10 +670,11 @@ quantile,grad_deviation,diag_deviation
 0.75,0.26341051160476042,0.23899289617365399
 0.90,0.32684487725411843,0.2652379053172168
 """),
+    # S = 4 is one block HVP, whose matrix product sums in its own order
     (["--samples", "4", "--batch-size", "10"], """\
 problem=log n=40 batch=10 trials=25 S=4
 quantile,grad_deviation,diag_deviation
-0.10,0.1086931013031442,0.054394056385745224
+0.10,0.1086931013031442,0.054394056385745237
 0.25,0.12506039275060954,0.093696810179211415
 0.50,0.14608987801493115,0.12343899507010661
 0.75,0.19129201276724631,0.16548931027818842
@@ -686,6 +687,23 @@ def test_cli_deviation_report_is_pinned(flags, report, tmp_path, capsys):
     cfg_path = _write_config(tmp_path, DEVIATION_PIN)
     assert cli.main(["deviation", "--config", cfg_path, "--trials", "25", *flags]) == 0
     assert capsys.readouterr().out == report
+
+
+VERIFY_REPORT = """\
+PASS kkt: n=500 max stationarity/tol=9.677e-03 min shifted curvature=0.000e+00 max decrease-margin excess=-3.800e-03 max iters-to-band=5
+PASS duality: n=100 max coord err/grid-tol=0.000 worst probe violation=-6.683e-12
+PASS phi-calculus: n=200 max fd err/tol=0.000
+PASS hutchinson: diag err=0.0e+00 enum err=2.2e-16 median devs S=1,4,16: 3.0696, 1.4266, 0.7238
+verify: all suites passed
+"""
+
+
+def test_cli_verify_report_is_pinned(suites, capsys, monkeypatch):
+    # the suites at their defaults, run once per session (criterion 8 checks
+    # that a fresh `adacubic verify` prints the same report)
+    monkeypatch.setattr(verify, "all_suites", lambda: suites[0])
+    assert cli.main(["verify"]) == 0
+    assert capsys.readouterr().out == VERIFY_REPORT
 
 
 def test_cli_deviation_needs_stochastic_problem(tmp_path):

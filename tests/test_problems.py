@@ -13,6 +13,7 @@ import pytest
 from adacubic import (draw_batch, load_logistic_csv, make_logistic,
                       make_quadratic, make_rosenbrock, make_saddle,
                       make_synthetic_logistic)
+from adacubic.hutchinson import rademacher_probes
 from adacubic.problems import validate_batch
 from adacubic.verify import BRUTE_FORCE_RESOLUTION, brute_force_subproblem_min
 
@@ -115,6 +116,33 @@ def test_hvp_linearity():
     lhs = obj.hvp(x, 2.0 * u - 3.0 * w)
     rhs = 2.0 * obj.hvp(x, u) - 3.0 * obj.hvp(x, w)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("obj, batch, exact", [
+    (make_quadratic(np.array([2.0, -1.0, 3.0]), np.array([1.0, 0.0, -1.0])), None, True),
+    (make_saddle(), None, True),
+    (make_rosenbrock(2), None, True),
+    (make_rosenbrock(10), None, True),
+    (make_rosenbrock(1000), None, True),
+    (make_synthetic_logistic(256, 20, 1e-3, 0), None, False),
+    (make_synthetic_logistic(256, 20, 1e-3, 0), np.arange(3, 256, 4), False),
+])
+def test_a_block_hvp_is_the_stacked_vector_hvps(obj, batch, exact):
+    # bit for bit at S = 1; at S = 4 also where the rows are multiplied
+    # elementwise, and to round-off where a matrix product sums them
+    rng = np.random.default_rng(obj.dim)
+    for _ in range(5):
+        x = rng.uniform(-1.5, 1.5, obj.dim)
+        for S in (1, 4):
+            for V in (rademacher_probes(rng, S, obj.dim), rng.standard_normal((S, obj.dim))):
+                block = obj.hvp(x, V, batch)
+                stacked = np.array([obj.hvp(x, v, batch) for v in V])
+                assert block.shape == (S, obj.dim)
+                if S == 1 or exact:
+                    assert np.array_equal(block, stacked)
+                else:
+                    err = np.max(np.abs(block - stacked))
+                    assert err <= 1e-14 * np.max(np.abs(stacked))
 
 
 def test_logistic_label_validation():

@@ -351,3 +351,25 @@ def test_max_newton_iters_bounds_the_passes(kkt_solved, monkeypatch):
     monkeypatch.setattr(subproblem, "MAX_NEWTON_ITERS", sol.newton_iters)
     exact = root_finder(b, g, xi)
     assert exact.nu == sol.nu and np.array_equal(exact.s, sol.s)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverStallError,
+                   reason="the stop test is absolute in units of f (ROADMAP item 2)")
+def test_an_unscaled_near_minimizer_instance_solves_within_criterion_1s_bounds():
+    # the S = 1 estimate and gradient at which Rosenbrock d = 2 from
+    # (-1.2, 1), seed 0, stalls once ||g|| is about 5e-8: nu sits just above
+    # the hard case, where one ulp of nu moves ||s|| past the absolute stop
+    b = np.array([401.99990832225524, -199.9999694067577])
+    g = np.array([-5.0988770567097366e-08, -5.098872435382873e-08])
+    xi = 1e-6
+    sol = root_finder(b, g, xi)
+    # criterion 1's KKT bounds, as tests/test_acceptance.py states them
+    res = kkt_residual(b, g, sol, xi)
+    gn = float(np.linalg.norm(g))
+    r = xi ** (1.0 / 3.0)
+    assert sol.nu >= 0.0
+    assert res.stationarity <= 1e-6 * (1.0 + gn)
+    assert res.min_shifted_curvature >= -1e-10
+    assert sol.nu == 0.0 or abs(res.slackness) <= 4.0 * KAPPA_EASY * xi * sol.nu
+    assert (sol.status is SubproblemStatus.INTERIOR
+            or abs(np.linalg.norm(sol.s) - r) <= KAPPA_EASY * r)
