@@ -46,15 +46,15 @@ class AdaCubicConfig:
                              f"[1, sys.maxsize], got {count!r}")
 
 
-def update_xi(xi: float, rho: float, step_norm_cubed: float,
-              cfg: AdaCubicConfig) -> tuple[IterationClass, float]:
+def update_xi(xi: float, rho: float, step_norm_cubed: float) -> tuple[IterationClass, float]:
     """Class of an iteration with ratio ``rho``, and the new value of xi.
 
     The step is accepted exactly when the class is not UNSUCCESSFUL.  At
     rho >= ETA2 it is very successful and xi grows toward ALPHA1*||s||^3,
     never shrinking; at ETA1 <= rho < ETA2 (ETA1 included) it is successful
     and xi is kept; below ETA1 xi shrinks to ALPHA2*||s||^3, floored at the
-    constant ``cfg.eps_m``: as ``eps_m <= xi0``, xi >= eps_m throughout a run.
+    constant ``AdaCubicConfig.eps_m``: as ``eps_m <= xi0``, xi >= eps_m
+    throughout a run.
     """
     if math.isnan(rho):
         raise ValueError("rho is NaN; the step was degenerate and must be handled upstream")
@@ -64,4 +64,4 @@ def update_xi(xi: float, rho: float, step_norm_cubed: float,
         return IterationClass.VERY_SUCCESSFUL, max(ALPHA1 * step_norm_cubed, xi)
     if rho >= ETA1:
         return IterationClass.SUCCESSFUL, xi
-    return IterationClass.UNSUCCESSFUL, max(ALPHA2 * step_norm_cubed, cfg.eps_m)
+    return IterationClass.UNSUCCESSFUL, max(ALPHA2 * step_norm_cubed, AdaCubicConfig.eps_m)

@@ -49,10 +49,13 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     at x on ``batch``: None in a full-batch run, else drawn from the stream of
     ``SeedSequence(seed).spawn(1)[0]``.  The full-batch loss and gradient at
     a point are each computed at most once, when an iteration first needs
-    them.  A non-finite stop-test gradient norm raises ``FloatingPointError``.
+    them.  A non-finite stop-test gradient norm raises ``FloatingPointError``;
+    ``stop_grad_norm`` outside [0, inf) is a ``ValueError``.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not (0.0 <= stop_grad_norm < math.inf):  # NaN fails
+        raise ValueError(f"need 0 <= stop_grad_norm < inf, got {stop_grad_norm!r}")
     x = np.asarray(x0, dtype=float).copy()
     records = []
     full_batch = batch_size is None or obj.num_samples == 0
@@ -85,25 +88,18 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     return Trajectory(records=records, final_x=x)
 
 
-def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
-                  probes, loss_before: float, g: np.ndarray, batch=None, iteration=0):
-    """One iteration from x, whose loss and gradient on ``batch`` (the full
-    objective when None) are ``loss_before`` and ``g``: estimate curvature
-    from the next (S, d) probe block of the iterator ``probes`` in one block
-    HVP, solve the subproblem, accept or reject.  A block whose S is not
-    ``cfg.hutchinson_samples`` is a ValueError.
+def adacubic_step(obj: Objective, x: np.ndarray, xi: float, b: np.ndarray,
+                  loss_before: float, g: np.ndarray, batch=None, iteration=0):
+    """One iteration from x, whose loss, gradient and diagonal curvature
+    estimate on ``batch`` (the full objective when None) are ``loss_before``,
+    ``g`` and ``b``: solve the subproblem, accept or reject.
 
-    The HVPs and the post-step loss are on ``batch`` too; ``iteration``
-    numbers the record.  A degenerate step (no predicted decrease) evaluates
-    no post-step loss: its record has loss_after = loss_before, rho NaN and
-    class UNSUCCESSFUL, and xi is kept.  Returns (x', xi', record); x' is x
-    when the step is rejected or degenerate.
+    The post-step loss is on ``batch`` too; ``iteration`` numbers the record.
+    A degenerate step (no predicted decrease) evaluates no post-step loss:
+    its record has loss_after = loss_before, rho NaN and class UNSUCCESSFUL,
+    and xi is kept.  Returns (x', xi', record); x' is x when the step is
+    rejected or degenerate.
     """
-    V = next(probes)
-    if len(V) != cfg.hutchinson_samples:
-        raise ValueError(f"a block of {len(V)} probes for hutchinson_samples = "
-                         f"{cfg.hutchinson_samples}")
-    b = hutchinson_diag(lambda V: obj.hvp(x, V, batch), V)
     sol = root_finder(b, g, xi)
     s = sol.s
     step_norm = math.sqrt(s.dot(s))
@@ -111,7 +107,7 @@ def adacubic_step(obj: Objective, x: np.ndarray, xi: float, cfg: AdaCubicConfig,
     if sol.model_decrease > 0.0 and math.isfinite(sol.model_decrease):
         loss_after = obj.eval(x_new, batch)
         ratio = (loss_before - loss_after) / sol.model_decrease
-        status, new_xi = update_xi(xi, ratio, step_norm ** 3, cfg)
+        status, new_xi = update_xi(xi, ratio, step_norm ** 3)
     else:  # degenerate: the model predicts no decrease
         loss_after, ratio, status, new_xi = \
             loss_before, float("nan"), IterationClass.UNSUCCESSFUL, xi
@@ -132,25 +128,25 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
     entry does not stop the run, so saddle points (where the gradient
     vanishes exactly) are escaped rather than reported as converged.  A
     degenerate full-batch step (no predicted decrease) ends the run.  Two
-    runs with the same seed and config are bit-identical; the probes are
-    drawn ahead from ``default_rng(seed)`` by :func:`rademacher_blocks`, one
-    block of ``cfg.hutchinson_samples`` rows per estimate.
+    runs with the same seed and config are bit-identical.  Each curvature
+    estimate, of a step or of the stop test, is one block HVP on the next
+    block of ``cfg.hutchinson_samples`` probe rows, which
+    :func:`rademacher_blocks` draws ahead from ``default_rng(seed)``.
     """
     xi = float(cfg.xi0)
     probes = rademacher_blocks(np.random.default_rng(seed), cfg.hutchinson_samples,
                                obj.dim)
 
-    def curvature_ok(x: np.ndarray) -> bool:
-        b = hutchinson_diag(lambda V: obj.hvp(x, V), next(probes))
-        return float(b.min()) >= 0.0
+    def curvature(x: np.ndarray, batch=None) -> np.ndarray:
+        return hutchinson_diag(lambda V: obj.hvp(x, V, batch), next(probes))
 
     def step(k, x, batch, loss, g):
         nonlocal xi
-        x, xi, rec = adacubic_step(obj, x, xi, cfg, probes, loss, g, batch, k)
+        x, xi, rec = adacubic_step(obj, x, xi, curvature(x, batch), loss, g, batch, k)
         return x, rec
 
     return _iterate(obj, x0, max_iters, batch_size, stop_grad_norm, seed, step,
-                    curvature_ok)
+                    lambda x: float(curvature(x).min()) >= 0.0)
 
 
 ADAM_BETA1 = 0.9
@@ -174,13 +170,15 @@ def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
                  max_iters: int, batch_size: int | None = None,
                  stop_grad_norm: float = 0.0, seed: int = 0) -> Trajectory:
     """SGD (``x - lr * g``) or Adam run in the same loop and record schema as
-    :func:`run`; ``lr`` is the only value either takes.
+    :func:`run`; ``lr``, in (0, inf), is the only value either takes.
 
     The trust-region specific fields (rho, nu, xi, statuses) carry NaN /
     placeholder values; every step is taken unconditionally.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown baseline optimizer {optimizer!r}")
+    if not (0.0 < lr < math.inf):  # NaN fails
+        raise ValueError(f"need 0 < lr < inf, got {lr!r}")
     zeros = np.zeros_like(x0, dtype=float)
     moments = (zeros, zeros, 0)
 

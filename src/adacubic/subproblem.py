@@ -113,11 +113,13 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
     the bracket and takes the Newton step, or bisects (doubles while the
     bracket has no upper end) when that step leaves the bracket.  At most
     ``MAX_NEWTON_ITERS`` steps are taken; then :class:`SolverStallError`
-    carries the last iterate.  Needs 0 < xi < inf and finite b and g;
-    otherwise raises ``ValueError`` before any solve.
+    carries the last iterate.  Needs 0 < xi < inf and finite 1-D b and g of
+    one length; otherwise raises ``ValueError`` before any solve.
     """
     b = np.asarray(b, dtype=float)
     g = np.asarray(g, dtype=float)
+    if b.ndim != 1 or b.shape != g.shape:
+        raise ValueError("b and g must be 1-D arrays of one length")
     if not (0.0 < xi < math.inf):  # NaN fails
         raise ValueError(f"need 0 < xi < inf, got {xi!r}")
     lam = float(np.minimum.reduce(b))
@@ -134,7 +136,7 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
 
     if ns ** 3 <= xi:
         # s = 0 (g = 0) is interior or a hard-case escape, never on the boundary
-        if ns > 0.0 and abs(ns ** 3 - xi) <= 1e-12 * max(1.0, xi):
+        if ns > 0.0 and abs(ns ** 3 - xi) <= 1e-12 * xi:
             return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, 0, 0,
                                       _model_decrease(b, g, s, nu, ns))
         if lam >= 0.0:

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .hutchinson import hutchinson_diag, rademacher_probes
-from .subproblem import KAPPA_EASY, SubproblemSolution, _dphi, _solve, root_finder
+from .subproblem import (KAPPA_EASY, SubproblemSolution, SubproblemStatus, _dphi, _solve,
+                         root_finder)
 
 BRUTE_FORCE_RESOLUTION = 200  # grid points per axis of the oracle below
 
@@ -242,8 +243,9 @@ def probe_gap(b: np.ndarray, g: np.ndarray, nu: float, s: np.ndarray,
 
 
 def kkt_suite(n: int = 500, seed: int = 12345) -> tuple:
-    """Stationarity, shifted curvature, slackness, model decrease, and the
-    Newton iteration budget, over random subproblem instances."""
+    """Stationarity, the sign of nu, shifted curvature, slackness, the radius
+    band of boundary and hard-case steps, model decrease, and the Newton
+    iteration budget, over random subproblem instances."""
     rng = np.random.default_rng(seed)
     worst = {"stationarity": 0.0, "min_shift": 0.0, "slack": 0.0,
              "model": -np.inf, "band_iters": 0}
@@ -264,8 +266,12 @@ def kkt_suite(n: int = 500, seed: int = 12345) -> tuple:
         worst["model"] = max(worst["model"], excess)
         worst["band_iters"] = max(worst["band_iters"], sol.newton_iters_to_band)
         slack_ok = abs(res.slackness) <= slack_band or sol.nu == 0.0
-        if not (stat_rel <= 1.0 and res.min_shifted_curvature >= -1e-10
-                and slack_ok and excess <= 1e-10 and sol.newton_iters_to_band <= 25):
+        # a boundary or hard-case step lies in the KAPPA_EASY band of the radius
+        r = xi ** (1.0 / 3.0)
+        band_ok = sol.status is SubproblemStatus.INTERIOR or abs(ns - r) <= KAPPA_EASY * r
+        if not (sol.nu >= 0.0 and stat_rel <= 1.0 and res.min_shifted_curvature >= -1e-10
+                and slack_ok and band_ok and excess <= 1e-10
+                and sol.newton_iters_to_band <= 25):
             ok = False
     detail = (f"n={n} max stationarity/tol={worst['stationarity']:.3e} "
               f"min shifted curvature={worst['min_shift']:.3e} "

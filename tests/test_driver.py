@@ -3,6 +3,7 @@ and the SGD / Adam baselines."""
 
 import dataclasses
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -11,28 +12,25 @@ import pytest
 from adacubic import (AdaCubicConfig, IterationClass, Objective, SolverStallError,
                       SubproblemStatus, adacubic_step, adam_step, driver, hutchinson,
                       make_quadratic, make_rosenbrock, make_saddle,
-                      make_synthetic_logistic, run, run_baseline)
+                      make_synthetic_logistic, run, run_baseline, update_xi)
 from adacubic.config import ALPHA2, ETA1
-from adacubic.hutchinson import rademacher_blocks
 
 CFG = AdaCubicConfig()
 
 
 def _step(obj, x, xi, **kwargs):
-    """:func:`adacubic_step` on the full objective from x, with the probes
-    that ``run`` draws for seed 0."""
-    probes = rademacher_blocks(np.random.default_rng(0), CFG.hutchinson_samples, obj.dim)
-    return adacubic_step(obj, x, xi, CFG, probes, obj.eval(x), obj.grad(x), **kwargs)
+    """:func:`adacubic_step` on the full objective from x, with the exact
+    diagonal, which every Rademacher estimate equals on these diagonal
+    Hessians."""
+    return adacubic_step(obj, x, xi, obj.exact_diag_hessian(x), obj.eval(x), obj.grad(x),
+                         **kwargs)
 
 
-@pytest.mark.parametrize("S, block", [(1, 4), (4, 1), (4, 3)])
-def test_a_probe_block_of_another_size_is_refused(S, block):
-    obj = make_quadratic(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-    x = np.array([1.0, 1.0])
-    cfg = dataclasses.replace(CFG, hutchinson_samples=S)
-    probes = rademacher_blocks(np.random.default_rng(0), block, obj.dim)
-    with pytest.raises(ValueError, match="hutchinson_samples"):
-        adacubic_step(obj, x, 1.0, cfg, probes, obj.eval(x), obj.grad(x))
+def test_the_step_takes_its_curvature_estimate_and_no_config():
+    # run alone holds the config and the probe stream
+    assert list(inspect.signature(adacubic_step).parameters) == [
+        "obj", "x", "xi", "b", "loss_before", "g", "batch", "iteration"]
+    assert list(inspect.signature(update_xi).parameters) == ["xi", "rho", "step_norm_cubed"]
 
 
 def test_step_lands_on_quadratic_minimizer_when_interior():
@@ -210,6 +208,29 @@ def test_run_baseline_rejects_unknown_optimizer():
         run_baseline(obj, np.ones(1), "lbfgs", 0.1, 10)
 
 
+@pytest.mark.parametrize("lr", [-0.1, 0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_run_baseline_rejects_lr_outside_zero_to_inf(optimizer, lr):
+    # lr = -0.1 used to climb for the whole budget, and lr = 0 to stand still
+    counted, counts = _counting(make_quadratic(np.array([1.0, 2.0]), np.ones(2)))
+    with pytest.raises(ValueError, match="0 < lr < inf"):
+        run_baseline(counted, np.ones(2), optimizer, lr, 50)
+    assert not counts
+
+
+@pytest.mark.parametrize("stop", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("optimizer", ["adacubic", "sgd", "adam"])
+def test_a_stop_threshold_outside_zero_to_inf_is_refused(optimizer, stop):
+    # a NaN threshold never stopped a run on the gradient test
+    counted, counts = _counting(make_quadratic(np.array([1.0, 2.0]), np.ones(2)))
+    with pytest.raises(ValueError, match="0 <= stop_grad_norm < inf"):
+        if optimizer == "adacubic":
+            run(counted, np.ones(2), CFG, 50, stop_grad_norm=stop)
+        else:
+            run_baseline(counted, np.ones(2), optimizer, 0.1, 50, stop_grad_norm=stop)
+    assert not counts
+
+
 @pytest.mark.parametrize("batch_size", [None, 8])
 def test_run_raises_on_a_non_finite_gradient(batch_size):
     # the curvature is positive everywhere, so without the raise a NaN
@@ -270,9 +291,9 @@ def _full_gradient_iterations(traj, max_iters, epoch=1):
     (make_rosenbrock(2), np.array([-1.2, 1.0]), 60, 0.0),
     (make_synthetic_logistic(80, 3, 1e-2, 4), np.zeros(3), 40, 1e-8),
     (make_saddle(), np.zeros(2), 50, 1e-8),
-    # zero gradient at a minimum and a stop threshold that never fires:
-    # the only step is degenerate
-    (make_quadratic(np.array([1.0, 2.0]), np.zeros(2)), np.zeros(2), 5, -1.0),
+    # a gradient above the stop threshold whose predicted decrease
+    # underflows to zero: the only step is degenerate
+    (make_quadratic(np.array([1e10, 2e10]), np.full(2, 1e-160)), np.zeros(2), 5, 0.0),
 ])
 def test_full_batch_run_takes_one_loss_and_at_most_one_gradient_per_iteration(
         obj, x0, iters, stop):

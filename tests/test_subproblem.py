@@ -185,8 +185,8 @@ def test_root_finder_hard_case():
     ([1.0, -1.0], SubproblemStatus.HARD_CASE, True),   # lambda < 0
 ])
 def test_root_finder_zero_gradient_outcomes(b, status, decrease, xi):
-    # at xi <= 1e-12 a zero step is within the boundary test's tolerance of
-    # the radius; it must still not be classed BOUNDARY
+    # a zero step is never classed BOUNDARY, even where its cube is within
+    # an absolute 1e-12 of a tiny xi
     sol = root_finder(np.array(b), np.zeros(2), xi)
     r = xi ** (1.0 / 3.0)
     assert sol.status is status
@@ -259,6 +259,31 @@ def test_root_finder_accepts_finite_b_and_g_whose_squares_overflow(b, g):
         sol = root_finder(np.array(b), np.array(g), 1.0)
     assert sol.status is SubproblemStatus.BOUNDARY
     assert abs(np.linalg.norm(sol.s) - 1.0) <= KAPPA_EASY
+
+
+@pytest.mark.parametrize("b, g", [
+    ([2.0], np.ones(3)),            # used to broadcast to s = -0.5 * ones(3)
+    (2.0, np.ones(3)),              # a 0-d b broadcast the same way
+    (np.ones(3), [1.0]),            # used to fail inside numpy's matmul
+    (np.ones((2, 2)), np.ones((2, 2))),
+    ([[1.0, 2.0]], [[1.0, 1.0]]),
+])
+def test_root_finder_rejects_b_and_g_that_are_not_1d_of_one_length(b, g, monkeypatch):
+    monkeypatch.setattr(subproblem, "_solve", None)  # no solve may start
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        root_finder(b, g, 1.0)
+
+
+@pytest.mark.parametrize("xi", [1e-13, 1e-20, 1e-25])
+def test_an_interior_step_at_a_tiny_xi_is_interior(xi):
+    # ||s|| = 1.1e-9 against r >= 4.6e-9: the early exit's tolerance on
+    # ||s||^3 - xi is relative, so it cannot call this step BOUNDARY
+    b, g = np.array([1.0, 2.0]), np.array([1e-9, 1e-9])
+    sol = root_finder(b, g, xi)
+    assert sol.status is SubproblemStatus.INTERIOR
+    assert sol.nu == 0.0
+    np.testing.assert_array_equal(sol.s, -g / b)
+    assert np.linalg.norm(sol.s) ** 3 < xi
 
 
 def test_newton_iterates_monotone_from_negative_side():

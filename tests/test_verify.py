@@ -84,6 +84,28 @@ def test_cubic_model_rows_match_the_scalar_formula():
             assert abs(value - sum(terms)) <= 16.0 * EPS * scale
 
 
+def _relabelled_boundary(sol):
+    # nu = 0 keeps stationarity, curvature and slackness: only the radius
+    # band can flag an interior step that claims the boundary
+    if sol.status is subproblem.SubproblemStatus.INTERIOR:
+        return dataclasses.replace(sol, status=subproblem.SubproblemStatus.BOUNDARY)
+    return sol
+
+
+def _negative_nu(sol):
+    # the slackness band 4 KAPPA_EASY xi nu is negative too, so that check
+    # flags it as well; criterion 1 tests the sign on its own
+    return dataclasses.replace(sol, nu=-1e-300) if sol.nu == 0.0 else sol
+
+
+@pytest.mark.parametrize("wrong", [_relabelled_boundary, _negative_nu])
+def test_kkt_suite_checks_what_criterion_1_checks(wrong, monkeypatch):
+    assert verify.kkt_suite(n=50)[1]
+    monkeypatch.setattr(verify, "root_finder", lambda b, g, xi: wrong(root_finder(b, g, xi)))
+    name, ok, detail = verify.kkt_suite(n=50)
+    assert not ok, detail
+
+
 def test_duality_suite_catches_a_shrunk_boundary_step(monkeypatch):
     def shrunk(b, g, xi):
         sol = root_finder(b, g, xi)
