@@ -50,10 +50,12 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     ``SeedSequence(seed).spawn(1)[0]``.  The full-batch loss and gradient at
     a point are each computed at most once, when an iteration first needs
     them.  A non-finite stop-test gradient norm raises ``FloatingPointError``;
-    ``stop_grad_norm`` outside [0, inf) is a ``ValueError``.
+    ``stop_grad_norm`` outside [0, inf) or ``x0`` not of shape (obj.dim,) is a ``ValueError``.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if np.shape(x0) != (obj.dim,):
+        raise ValueError(f"x0 has shape {np.shape(x0)}, problem dimension is {obj.dim}")
     if not (0.0 <= stop_grad_norm < math.inf):  # NaN fails
         raise ValueError(f"need 0 <= stop_grad_norm < inf, got {stop_grad_norm!r}")
     x = np.asarray(x0, dtype=float).copy()

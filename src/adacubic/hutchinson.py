@@ -37,18 +37,21 @@ def rademacher_blocks(rng: np.random.Generator, S: int, d: int) -> Iterator[np.n
 def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], V: np.ndarray) -> np.ndarray:
     """Average of H(v) * v over the Rademacher probe rows v of the (S, d) block V.
 
-    One ``hvp(V)`` call must return the S products as the rows of an (S, d)
-    array; any other shape is a ValueError.  Unbiased for diag(H); exact for
-    diagonal H at any number of probes since v*v == 1.  The rows are summed
-    in order from 0.0, for bit-reproducibility.
+    V must be 2-D, and one ``hvp(V)`` call must return the S products as the
+    rows of an (S, d) array; any other shape of either is a ValueError.
+    Unbiased for diag(H); exact for diagonal H at any number of probes since
+    v*v == 1.  The rows are summed in order from 0.0, for bit-reproducibility.
     """
-    S = len(V)
+    shape = np.shape(V)
+    if len(shape) != 2:
+        raise ValueError(f"need a 2-D (S, d) probe block, got shape {shape}")
+    S = shape[0]
     if S == 0:
         raise ValueError("hutchinson_diag needs at least one probe row")
     hv = np.asarray(hvp(V), dtype=float)
-    if hv.shape != np.shape(V):
+    if hv.shape != shape:
         raise ValueError(f"hvp returned shape {hv.shape} for a probe block of "
-                         f"shape {np.shape(V)}")
+                         f"shape {shape}")
     # the sum of squares is finite iff every entry is, unless it overflows
     if not math.isfinite(np.vdot(hv, hv)) and not np.isfinite(hv).all():
         raise FloatingPointError("non-finite Hessian-vector product")

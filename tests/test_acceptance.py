@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 import adacubic
-from adacubic import (AdaCubicConfig, SubproblemStatus, make_quadratic,
-                      make_rosenbrock, make_saddle, make_synthetic_logistic, run,
-                      run_baseline, verify)
+from adacubic import (AdaCubicConfig, make_quadratic, make_rosenbrock, make_saddle,
+                      make_synthetic_logistic, run, run_baseline, verify)
 from adacubic.harness import parse_config_text, run_experiment
-from adacubic.subproblem import KAPPA_EASY
-from adacubic.verify import kkt_residual
+from adacubic.verify import (BAND_ITERS_BUDGET, DECREASE_MARGIN, STATIONARITY_TOL,
+                             kkt_residual)
 
 CFG = AdaCubicConfig()
 
@@ -40,17 +39,9 @@ def test_criterion_1_kkt_suite(kkt_solved):
     for b, g, xi, sol in solved:
         res = kkt_residual(b, g, sol, xi)
         gn = float(np.linalg.norm(g))
-        worst_stat = max(worst_stat, res.stationarity / (1e-6 * (1.0 + gn)))
+        worst_stat = max(worst_stat, res.stationarity / (STATIONARITY_TOL * (1.0 + gn)))
         worst_shift = min(worst_shift, res.min_shifted_curvature)
-        slack_ok = sol.nu == 0.0 or \
-            abs(res.slackness) <= 4.0 * KAPPA_EASY * xi * sol.nu
-        # a boundary or hard-case step lies in the KAPPA_EASY band of the radius
-        r = xi ** (1.0 / 3.0)
-        band_ok = sol.status is SubproblemStatus.INTERIOR or \
-            abs(np.linalg.norm(sol.s) - r) <= KAPPA_EASY * r
-        if not (sol.nu >= 0.0 and res.stationarity <= 1e-6 * (1.0 + gn)
-                and res.min_shifted_curvature >= -1e-10 and slack_ok and band_ok):
-            ok = False
+        ok = ok and res.ok
     elapsed = solve_s + time.perf_counter() - start
     ok = ok and elapsed < 5.0
     _report("1", ok, f"500 instances, worst stationarity {worst_stat:.3e} of "
@@ -67,9 +58,9 @@ def test_criterion_2_duality_suite(suites):
 def test_criterion_3_phi_calculus_and_newton_budget(suites, kkt_solved):
     name, ok, detail = _suite(suites, "phi-calculus")
     worst_band = max(sol.newton_iters_to_band for *_, sol in kkt_solved[0])
-    ok = ok and worst_band <= 25
+    ok = ok and worst_band <= BAND_ITERS_BUDGET
     _report("3", ok, f"{detail}; max Newton iterations to the kappa_easy "
-            f"band over 500 instances: {worst_band} (<= 25)")
+            f"band over 500 instances: {worst_band} (<= {BAND_ITERS_BUDGET})")
 
 
 def test_criterion_4_hutchinson_suite(suites):
@@ -78,13 +69,9 @@ def test_criterion_4_hutchinson_suite(suites):
 
 
 def test_criterion_5_model_decrease(kkt_solved):
-    worst = -np.inf
-    for b, g, xi, sol in kkt_solved[0]:
-        ns = float(np.linalg.norm(sol.s))
-        model = float(g @ sol.s + 0.5 * sol.s @ (b * sol.s)
-                      + sol.nu / 6.0 * ns ** 3)
-        worst = max(worst, model + sol.nu / 12.0 * ns ** 3)
-    _report("5", worst <= 1e-10,
+    worst = max(kkt_residual(b, g, sol, xi).decrease_excess
+                for b, g, xi, sol in kkt_solved[0])
+    _report("5", worst <= DECREASE_MARGIN,
             f"max model-value excess over -(nu/12)||s||^3: {worst:.3e}")
 
 

@@ -231,6 +231,21 @@ def test_a_stop_threshold_outside_zero_to_inf_is_refused(optimizer, stop):
     assert not counts
 
 
+@pytest.mark.parametrize("dim, x0", [(2, [-1.2, 1.0, 1.0]), (3, [-1.2, 1.0]),
+                                     (2, [[-1.2, 1.0]]), (2, -1.2)])
+@pytest.mark.parametrize("optimizer", ["adacubic", "sgd", "adam"])
+def test_an_x0_of_the_wrong_shape_is_refused_before_any_oracle_call(optimizer, dim, x0):
+    # SGD and Adam used to run a 3-D Rosenbrock from a length-3 x0 on
+    # make_rosenbrock(2), and run died in a broadcast error inside the HVP
+    counted, counts = _counting(make_rosenbrock(dim))
+    with pytest.raises(ValueError, match="x0 has shape"):
+        if optimizer == "adacubic":
+            run(counted, x0, CFG, 5)
+        else:
+            run_baseline(counted, x0, optimizer, 1e-3, 5)
+    assert not counts
+
+
 @pytest.mark.parametrize("batch_size", [None, 8])
 def test_run_raises_on_a_non_finite_gradient(batch_size):
     # the curvature is positive everywhere, so without the raise a NaN

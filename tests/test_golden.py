@@ -40,11 +40,11 @@ import numpy as np
 import pytest
 
 from adacubic import (IterationClass, SolverStallError, harness, make_rosenbrock,
-                      root_finder)
+                      root_finder, verify)
 from adacubic.harness import parse_config_text, run_experiment
 
 from test_acceptance import run_criterion_6b
-from test_subproblem import _kkt_instances, _scaled_instances
+from test_subproblem import _scaled_instances
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
@@ -348,7 +348,7 @@ def test_another_stack_fails_a_stall(bite):
 
 
 if __name__ == "__main__":
-    solutions = [root_finder(b, g, xi) for b, g, xi in _kkt_instances()]
+    solutions = [root_finder(b, g, xi) for b, g, xi in verify.kkt_instances()]
     golden = pin(solutions, run_criterion_6b()[0])
     try:
         stored = load()

@@ -57,6 +57,17 @@ def test_rejects_an_empty_block_before_any_hvp():
     assert calls == []
 
 
+@pytest.mark.parametrize("probes", [np.array([1.0, -1.0, 1.0]), np.ones((1, 1, 3)),
+                                    np.array(1.0)])
+def test_rejects_a_block_that_is_not_2d_before_any_hvp(probes):
+    # a 1-D probe vector used to be taken as S = d rows of one entry, and
+    # with H = diag(3, -1, 5) gave the scalar 2.333; a (1, 1, 3) block gave (1, 3)
+    calls = []
+    with pytest.raises(ValueError, match="2-D"):
+        hutchinson_diag(lambda V: calls.append(V) or V * [3.0, -1.0, 5.0], probes)
+    assert calls == []
+
+
 def test_averages_over_the_rows_it_is_given():
     # H v * v is (1.5, 2.5) and (0.5, 1.5) on the two rows, and their
     # average is diag(H); one HVP call takes both rows

@@ -13,9 +13,9 @@ import pytest
 from adacubic import SolverStallError, SubproblemStatus, root_finder, subproblem
 from adacubic.subproblem import (KAPPA_EASY, KKT_TOL, MAX_NEWTON_ITERS, _solve,
                                  hard_case_step)
-from adacubic.verify import (ShiftNotPositiveDefiniteError, _shifted_solve,
-                             brute_force_subproblem_min, dphi_dnu, kkt_residual,
-                             phi, random_instance)
+from adacubic.verify import (BRUTE_FORCE_RESOLUTION, ShiftNotPositiveDefiniteError,
+                             _shifted_solve, brute_force_subproblem_min, dphi_dnu,
+                             kkt_residual, phi, random_instance)
 
 # the floor of the scaled instances' xi: part of the definition of that
 # instance family, whose solutions tests/golden.json pins, so it stays 1e-6
@@ -174,7 +174,7 @@ def test_root_finder_hard_case():
     # model symmetric in the sign of s_1, so compare magnitudes
     ref = brute_force_subproblem_min(b, g, xi)
     np.testing.assert_allclose(np.abs(sol.s), np.abs(ref),
-                               atol=2.0 * xi ** (1.0 / 3.0) / 200)
+                               atol=2.0 * xi ** (1.0 / 3.0) / BRUTE_FORCE_RESOLUTION)
     assert ref[1] < 0.0
 
 
@@ -236,10 +236,8 @@ def test_root_finder_solves_below_the_xi_floor(b, g, xi):
     # the floor eps_m = 1e-6 belongs to the trust-region rule, not the solver
     b, g = np.array(b), np.array(g)
     sol = root_finder(b, g, xi)
-    r = xi ** (1.0 / 3.0)
     assert sol.status is SubproblemStatus.BOUNDARY
-    assert kkt_residual(b, g, sol, xi).stationarity <= 1e-6 * (1.0 + np.linalg.norm(g))
-    assert abs(np.linalg.norm(sol.s) - r) <= KAPPA_EASY * r
+    assert kkt_residual(b, g, sol, xi).ok
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200])  # 1e200: g @ g overflows too
@@ -320,7 +318,7 @@ def test_matches_brute_force_on_low_dimensions():
         xi = float(10.0 ** rng.uniform(-2, 1))
         sol = root_finder(b, g, xi)
         ref = brute_force_subproblem_min(b, g, xi)
-        tol = 2.0 * xi ** (1.0 / 3.0) / 200
+        tol = 2.0 * xi ** (1.0 / 3.0) / BRUTE_FORCE_RESOLUTION
         np.testing.assert_allclose(sol.s, ref, atol=tol)
 
 
@@ -338,11 +336,6 @@ def _scaled_instances(n, seed=2024):
         b = b * 10.0 ** rng.uniform(-6, 6)
         xi = max(xi * 10.0 ** rng.uniform(-6, 6), EPS_M)
         yield b, g, xi
-
-
-def _kkt_instances(n=500, seed=12345):
-    rng = np.random.default_rng(seed)
-    return [random_instance(rng) for _ in range(n)]
 
 
 def _outcome(solver, b, g, xi):
@@ -378,6 +371,23 @@ def test_max_newton_iters_bounds_the_passes(kkt_solved, monkeypatch):
     assert exact.nu == sol.nu and np.array_equal(exact.s, sol.s)
 
 
+@pytest.mark.xfail(strict=True, raises=(AssertionError, SolverStallError),
+                   reason="root_finder's eigenvalue margin, stop test and "
+                   "bisection start are absolute in units of f (ROADMAP item 2)")
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_scaling_b_and_g_by_a_power_of_two_changes_no_solution(kkt_solved, k):
+    # c b and c g scale the model's quadratic part by c = 2**k exactly, so a
+    # scale-free solver returns the same step and status bit for bit, and c nu
+    c = 2.0 ** k
+    changed = []
+    for i, (b, g, xi, sol) in enumerate(kkt_solved[0]):
+        scaled = root_finder(c * b, c * g, xi)
+        if (scaled.s.tobytes() != sol.s.tobytes() or scaled.status is not sol.status
+                or scaled.nu != c * sol.nu):
+            changed.append(i)
+    assert not changed, f"{len(changed)} instances changed, first: {changed[:10]}"
+
+
 @pytest.mark.xfail(strict=True, raises=SolverStallError,
                    reason="the stop test is absolute in units of f (ROADMAP item 2)")
 def test_an_unscaled_near_minimizer_instance_solves_within_criterion_1s_bounds():
@@ -388,13 +398,4 @@ def test_an_unscaled_near_minimizer_instance_solves_within_criterion_1s_bounds()
     g = np.array([-5.0988770567097366e-08, -5.098872435382873e-08])
     xi = 1e-6
     sol = root_finder(b, g, xi)
-    # criterion 1's KKT bounds, as tests/test_acceptance.py states them
-    res = kkt_residual(b, g, sol, xi)
-    gn = float(np.linalg.norm(g))
-    r = xi ** (1.0 / 3.0)
-    assert sol.nu >= 0.0
-    assert res.stationarity <= 1e-6 * (1.0 + gn)
-    assert res.min_shifted_curvature >= -1e-10
-    assert sol.nu == 0.0 or abs(res.slackness) <= 4.0 * KAPPA_EASY * xi * sol.nu
-    assert (sol.status is SubproblemStatus.INTERIOR
-            or abs(np.linalg.norm(sol.s) - r) <= KAPPA_EASY * r)
+    assert kkt_residual(b, g, sol, xi).ok

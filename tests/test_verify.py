@@ -101,9 +101,20 @@ def _negative_nu(sol):
 @pytest.mark.parametrize("wrong", [_relabelled_boundary, _negative_nu])
 def test_kkt_suite_checks_what_criterion_1_checks(wrong, monkeypatch):
     assert verify.kkt_suite(n=50)[1]
+    # kkt_residual itself refuses each solution that the edit changes
+    solved = [(b, g, root_finder(b, g, xi), xi) for b, g, xi in verify.kkt_instances(n=50)]
+    edited = [(b, g, wrong(sol), xi) for b, g, sol, xi in solved if wrong(sol) is not sol]
+    assert edited and all(verify.kkt_residual(*args).ok for args in solved)
+    assert not any(verify.kkt_residual(*args).ok for args in edited)
     monkeypatch.setattr(verify, "root_finder", lambda b, g, xi: wrong(root_finder(b, g, xi)))
     name, ok, detail = verify.kkt_suite(n=50)
     assert not ok, detail
+
+
+def test_the_acceptance_bounds_stay_fixed():
+    # criteria 1, 5 and 3 read these; this is the only other place they are written
+    assert (verify.STATIONARITY_TOL, verify.CURVATURE_SLACK, verify.DECREASE_MARGIN,
+            verify.BAND_ITERS_BUDGET) == (1e-6, 1e-10, 1e-10, 25)
 
 
 def test_duality_suite_catches_a_shrunk_boundary_step(monkeypatch):
