@@ -4,8 +4,10 @@ Every problem is an :class:`Objective`.  Stochastic objectives (finite-sum
 losses) additionally accept a batch of sample indices; ``batch=None`` means
 the full dataset.  All callables are pure in their results and safe to
 evaluate concurrently at distinct points.  The logistic objective keeps the
-rows of the last batch it was given (batch x d floats), so the calls of one
-iteration validate and gather their batch once.
+rows of its last batch and, at its last minibatch point and its last two
+full-batch points, the margin, its sigmoid and the gradient (about 4n floats
+at the full batch), so the calls of one iteration gather their batch and
+compute each margin once.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ def validate_batch(batch: Batch, num_samples: int) -> None:
     idx = np.asarray(batch)
     if idx.dtype.kind not in "iu":
         raise ValueError("batch indices must be integers")
+    if not idx.size:
+        raise ValueError("batch must not be empty")
     s = np.sort(idx, axis=None)
-    if s.size and (s[0] < 0 or s[-1] >= num_samples):
+    if s[0] < 0 or s[-1] >= num_samples:
         raise ValueError("batch indices out of range")
     if (s[1:] == s[:-1]).any():
         raise ValueError("batch indices must be distinct")
@@ -151,10 +155,15 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
     """L2-regularized logistic regression with +-1 labels and batch support.
 
     The objective keeps the rows of the last batch it gathered, batch x d
-    floats, keyed on the indices' dtype, shape and values: a call with an
-    equal batch reuses them, any other batch is validated and gathered
-    afresh.  It reads ``features`` and ``labels`` without copying them when
-    they are already float arrays, so they must not be edited afterwards.
+    floats, keyed on the indices' dtype, shape and values, read as a flat
+    index set: a call with an equal batch reuses them, any other batch is
+    validated and gathered afresh.  It keeps the last minibatch point and
+    the last two full-batch points, keyed on the batch and on w's dtype,
+    shape and bytes: the margin m = -y * (X w), sigmoid(m) once needed and
+    the gradient once computed (returned as a copy), about 4n floats at the
+    full batch.  So a full-batch step's trial does not evict its iterate.
+    ``features`` and ``labels`` are read without a copy when they are
+    already float arrays, so they must not be edited afterwards.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -172,40 +181,65 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-m))
 
-    # (key, X rows, y rows) of the last batch gathered: one tuple, read once
-    # and swapped whole, so that concurrent calls each see a consistent one
+    # (key, X rows, y rows) of the last batch gathered, and the kept points
+    # (key, m, sigmoid(m) or None, gradient or None), most recent first: each
+    # tuple is read once and swapped whole, so that concurrent calls each see
+    # a consistent one
     last = (None, None, None)
+    batch_points = full_points = ()
 
     def rows(batch):
         nonlocal last
         if batch is None:
-            return X, y
-        idx = np.asarray(batch)
+            return None, X, y
+        idx = np.asarray(batch).ravel()
         key = (idx.dtype, idx.shape, idx.tobytes())
         memo = last
         if memo[0] != key:
             validate_batch(idx, n)
             memo = last = (key, X[idx], y[idx])
-        return memo[1], memo[2]
+        return memo
+
+    def point(w, batch, need_sig):
+        # the kept point at (w, batch), or a new one, moved to the front,
+        # and the batch's rows
+        bkey, Xb, yb = rows(batch)
+        key = (bkey, w.dtype, w.shape, w.tobytes())
+        kept = full_points if bkey is None else batch_points
+        for p in kept:
+            if p[0] == key:
+                break
+        else:
+            p = (key, -yb * (Xb @ w), None, None)
+        if need_sig and p[2] is None:
+            p = (key, p[1], sigmoid(p[1]), p[3])
+        keep(p)
+        return p, Xb, yb
+
+    def keep(p):
+        nonlocal batch_points, full_points
+        if p[0][0] is None:
+            full_points = (p,) + tuple(q for q in full_points if q[0] != p[0])[:1]
+        else:
+            batch_points = (p,)
 
     def f(w, batch=None):
-        Xb, yb = rows(batch)
-        m = -yb * (Xb @ w)
-        # log(1 + exp(m)) without overflow
-        loss = np.logaddexp(0.0, m).mean()
+        (_, m, _, _), _, _ = point(w, batch, False)
+        # log(1 + exp(m)) without overflow, averaged as .mean() does, without
+        # its Python wrapper
+        loss = np.add.reduce(np.logaddexp(0.0, m)) / m.size
         return float(loss + 0.5 * l2 * w @ w)
 
     def g(w, batch=None):
-        Xb, yb = rows(batch)
-        m = -yb * (Xb @ w)
-        sig = sigmoid(m)
-        return Xb.T @ (-yb * sig) / len(yb) + l2 * w
+        (key, m, sig, grad), Xb, yb = point(w, batch, True)
+        if grad is None:
+            grad = Xb.T @ (-yb * sig) / len(yb) + l2 * w
+            keep((key, m, sig, grad))
+        return grad.copy()
 
     def hvp(w, v, batch=None):
         # one margin and weight vector for all rows of a block v
-        Xb, yb = rows(batch)
-        m = -yb * (Xb @ w)
-        sig = sigmoid(m)
+        (_, _, sig, _), Xb, yb = point(w, batch, True)
         weights = sig * (1.0 - sig)
         return (weights * (Xb @ v.T).T) @ Xb / len(yb) + l2 * v
 

@@ -10,9 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from adacubic import (draw_batch, load_logistic_csv, make_logistic,
+from adacubic import (AdaCubicConfig, draw_batch, load_logistic_csv, make_logistic,
                       make_quadratic, make_rosenbrock, make_saddle,
-                      make_synthetic_logistic)
+                      make_synthetic_logistic, problems, run, run_baseline)
 from adacubic.hutchinson import rademacher_probes
 from adacubic.problems import validate_batch
 from adacubic.verify import BRUTE_FORCE_RESOLUTION, brute_force_subproblem_min
@@ -175,6 +175,9 @@ def test_batch_validation():
     for bad in ([0.0, 1.0], [True, False], []):
         with pytest.raises(ValueError, match="must be integers"):
             validate_batch(np.array(bad), 10)
+    for shape in ((0,), (0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="must not be empty"):
+            validate_batch(np.zeros(shape, dtype=np.int64), 10)
 
 
 def test_draw_batch_distinct_and_seeded():
@@ -216,6 +219,24 @@ def test_logistic_batch_after_a_gathered_one_is_still_checked():
         obj.eval(w, np.array([1, 1]))
     with pytest.raises(ValueError, match="out of range"):
         obj.grad(w, np.array([0, 30]))
+    for call in (obj.eval, obj.grad, lambda w, b: obj.hvp(w, w, b)):
+        with pytest.raises(ValueError, match="must not be empty"):
+            call(w, np.array([], dtype=np.int64))
+
+
+def test_logistic_nd_batch_is_its_flat_index_set():
+    # a 2-D index array gives, in every oracle, the bits of the 1-D batch of
+    # its values in the same order
+    w, v = np.array([0.1, -0.2, 0.3]), np.array([0.5, 1.0, -2.0])
+    flat, square = np.array([0, 1, 2, 3]), np.array([[0, 1], [2, 3]])
+    for batch in (square, square.T.copy().T, square[None]):
+        obj, ref = (make_synthetic_logistic(30, 3, 1e-2, 2) for _ in range(2))
+        assert obj.eval(w, batch) == ref.eval(w, flat)
+        np.testing.assert_array_equal(obj.grad(w, batch), ref.grad(w, flat))
+        for probe in (v, v[None]):
+            hv = obj.hvp(w, probe, batch)
+            assert hv.shape == probe.shape
+            np.testing.assert_array_equal(hv, ref.hvp(w, probe, flat))
 
 
 def test_logistic_batch_edited_in_place_is_gathered_afresh():
@@ -227,6 +248,108 @@ def test_logistic_batch_edited_in_place_is_gathered_afresh():
     fresh = make_synthetic_logistic(30, 3, 1e-2, 2)
     assert obj.eval(w, b) == fresh.eval(w, b)
     np.testing.assert_array_equal(obj.grad(w, b), fresh.grad(w, b))
+
+
+@pytest.mark.parametrize("batch", [np.array([0, 5, 7]), None])
+def test_logistic_point_edited_in_place_is_recomputed(batch):
+    # the margin, sigmoid and gradient at w are kept, keyed on w's bytes: a
+    # w edited between calls is a new point
+    obj = make_synthetic_logistic(30, 3, 1e-2, 2)
+    w, v = np.array([0.1, -0.2, 0.3]), np.array([0.5, 1.0, -2.0])
+    obj.eval(w, batch), obj.grad(w, batch), obj.hvp(w, v, batch)
+    w[1] = 0.4
+    fresh = make_synthetic_logistic(30, 3, 1e-2, 2)
+    assert obj.eval(w, batch) == fresh.eval(w, batch)
+    np.testing.assert_array_equal(obj.grad(w, batch), fresh.grad(w, batch))
+    np.testing.assert_array_equal(obj.hvp(w, v, batch), fresh.hvp(w, v, batch))
+
+
+@pytest.mark.parametrize("batch", [np.array([0, 5, 7]), None])
+def test_logistic_returned_gradient_is_the_callers(batch):
+    obj = make_synthetic_logistic(30, 3, 1e-2, 2)
+    w = np.array([0.1, -0.2, 0.3])
+    g = obj.grad(w, batch)
+    want = g.copy()
+    g[:] = 7.0
+    np.testing.assert_array_equal(obj.grad(w, batch), want)
+    obj.grad(w, batch)[0] = 7.0
+    np.testing.assert_array_equal(obj.grad(w, batch), want)
+
+
+class _CountingExp:
+    """numpy, with the sizes of the arrays passed to ``exp`` recorded."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, a):
+        self.sizes.append(np.size(a))
+        return np.exp(a)
+
+
+def test_logistic_full_batch_points_equal_a_fresh_objectives(monkeypatch):
+    # a full-batch step's calls go iterate, trial, iterate (its HVP after a
+    # rejection), new trial; each value equals, bit for bit, that of an
+    # objective that has kept nothing
+    def fresh():
+        return make_synthetic_logistic(50, 4, 1e-2, 3)
+
+    rng = np.random.default_rng(6)
+    x, t1, t2 = (rng.standard_normal(4) for _ in range(3))
+    V = rademacher_probes(rng, 2, 4)
+    calls = [("grad", x), ("eval", x), ("hvp", x), ("eval", t1), ("hvp", x),
+             ("eval", t2), ("grad", t2), ("hvp", t2), ("grad", x), ("eval", t1)]
+
+    def call(obj, name, w):
+        return obj.hvp(w, V) if name == "hvp" else getattr(obj, name)(w)
+
+    want = [call(fresh(), name, w) for name, w in calls]
+    obj = fresh()
+    counting = _CountingExp()
+    monkeypatch.setattr(problems, "np", counting)
+    for (name, w), value in zip(calls, want):
+        assert np.array_equal(call(obj, name, w), value), (name, w)
+    # a sigmoid of the 50 rows is computed once at x and once at t2: the
+    # trials do not evict the iterate
+    assert counting.sizes == [50, 50]
+
+
+def test_logistic_runs_from_one_x0_equal_runs_on_fresh_objectives():
+    # three runs share the objective and its kept full-batch gradient at
+    # x0; each equals, bit for bit, the same run on an objective of its own
+    def fresh():
+        return make_synthetic_logistic(120, 5, 1e-2, 4)
+
+    shared = fresh()
+    x0 = np.zeros(5)
+    runs = [lambda o: run(o, x0, AdaCubicConfig(), 40, batch_size=16, seed=1),
+            lambda o: run_baseline(o, x0, "sgd", 0.1, 40, batch_size=16, seed=2),
+            lambda o: run(o, x0, AdaCubicConfig(), 25, seed=3)]
+    for go in runs:
+        a, b = go(shared), go(fresh())
+        # a float's repr round-trips, so equal reprs are equal bits, NaN
+        # included
+        assert [repr(r) for r in a.records] == [repr(r) for r in b.records]
+        assert np.array_equal(a.final_x, b.final_x)
+
+
+def test_a_grid_of_runs_from_one_x0_takes_its_full_gradient_once(monkeypatch):
+    # a minibatch run takes the full-batch gradient only at x0 and at its
+    # epoch boundaries; with one boundary after x0, as in a grid's runs, x0
+    # stays kept, so the later runs compute no sigmoid on all n rows there
+    obj = make_synthetic_logistic(120, 5, 1e-2, 4)
+    x0 = np.zeros(5)
+    counting = _CountingExp()
+    monkeypatch.setattr(problems, "np", counting)
+    full = []
+    for seed in range(3):
+        # epoch 8: the boundaries are k = 0 and 8
+        run_baseline(obj, x0, "sgd", 0.1, 12, batch_size=16, seed=seed)
+        full.append(counting.sizes.count(120))
+    assert full == [2, 3, 4]
 
 
 def _logistic_data(n=40, d=4, seed=12):
@@ -251,34 +374,40 @@ def test_logistic_batches_match_objectives_on_their_rows():
 
 
 def test_logistic_batches_are_safe_across_threads():
-    # two threads call the oracle at once, each alternating two batches, so
-    # most calls find the other batch's rows kept: every result must still
-    # be its serial value, bit for bit
+    # more threads than cores call the oracle at once, each alternating two
+    # points on two batches and on the full batch, so most calls find
+    # another call's rows and points kept: every result must still be its
+    # value on an objective that has kept nothing, bit for bit
     X, y, rng = _logistic_data()
     obj = make_logistic(X, y, 1e-2)
-    w, v = rng.standard_normal(4), rng.standard_normal(4)
-    batches = [np.arange(0, 40, 2), np.arange(1, 40, 3)]
-    start = threading.Barrier(2)
+    points, v = [rng.standard_normal(4), rng.standard_normal(4)], rng.standard_normal(4)
+    batches = [np.arange(0, 40, 2), np.arange(1, 40, 3), None]
+    cases = [(p, b) for b in range(3) for p in range(2)]
+    workers = 4
+    start = threading.Barrier(workers, timeout=60)
 
-    def oracle(batch):
+    def oracle(obj, case):
+        w, batch = points[case[0]], batches[case[1]]
         return obj.eval(w, batch), obj.grad(w, batch), obj.hvp(w, v, batch)
 
     def worker(first):
         start.wait()
-        return [(k, oracle(batches[k])) for k in [first, 1 - first] * 150]
+        order = cases[first:] + cases[:first]
+        return [(case, oracle(obj, case)) for case in order * 50]
 
-    serial = [oracle(batch) for batch in batches]
+    serial = {case: oracle(make_logistic(X, y, 1e-2), case) for case in cases}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the oracle too
     try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            runs = list(pool.map(worker, (0, 1)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(worker, i) for i in range(workers)]
+            runs = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    for k, (f, g, hv) in (item for run in runs for item in run):
-        assert f == serial[k][0]
-        np.testing.assert_array_equal(g, serial[k][1])
-        np.testing.assert_array_equal(hv, serial[k][2])
+    for case, (f, g, hv) in (item for run in runs for item in run):
+        assert f == serial[case][0]
+        np.testing.assert_array_equal(g, serial[case][1])
+        np.testing.assert_array_equal(hv, serial[case][2])
 
 
 def test_logistic_sigmoid_overflow_is_silent_and_exact():
