@@ -50,7 +50,9 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     ``SeedSequence(seed).spawn(1)[0]``.  The full-batch loss and gradient at
     a point are each computed at most once, when an iteration first needs
     them.  A non-finite stop-test gradient norm raises ``FloatingPointError``;
-    ``stop_grad_norm`` outside [0, inf) or ``x0`` not of shape (obj.dim,) is a ``ValueError``.
+    ``stop_grad_norm`` outside [0, inf), ``x0`` not of shape (obj.dim,) or a
+    minibatch ``batch_size`` outside [1, num_samples] is a ``ValueError``,
+    raised before any oracle call.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -61,8 +63,9 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     x = np.asarray(x0, dtype=float).copy()
     records = []
     full_batch = batch_size is None or obj.num_samples == 0
-    if not full_batch and batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    if not full_batch and not 1 <= batch_size <= obj.num_samples:
+        raise ValueError(f"need 1 <= batch_size <= num_samples = {obj.num_samples}, "
+                         f"got {batch_size}")
     epoch = 1 if full_batch else -(-obj.num_samples // batch_size)
     batches = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     loss = g_full = None  # the full-batch loss and gradient at x, once computed

@@ -3,10 +3,10 @@
 Every problem is an :class:`Objective`.  Stochastic objectives (finite-sum
 losses) additionally accept a batch of sample indices; ``batch=None`` means
 the full dataset.  All callables are pure in their results and safe to
-evaluate concurrently at distinct points.  The logistic objective keeps the
-rows of its last batch and, at its last minibatch point and its last two
-full-batch points, the margin, its sigmoid and the gradient (about 4n floats
-at the full batch), so the calls of one iteration gather their batch and
+evaluate concurrently at distinct points.  The logistic objective keeps its
+last minibatch point, with that batch's rows, and its last two full-batch
+points: at each the margin, its sigmoid and the gradient (about 4n floats at
+the full batch), so the calls of one iteration gather their batch and
 compute each margin once.
 """
 
@@ -154,14 +154,16 @@ def make_saddle() -> Objective:
 def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> Objective:
     """L2-regularized logistic regression with +-1 labels and batch support.
 
-    The objective keeps the rows of the last batch it gathered, batch x d
-    floats, keyed on the indices' dtype, shape and values, read as a flat
-    index set: a call with an equal batch reuses them, any other batch is
-    validated and gathered afresh.  It keeps the last minibatch point and
-    the last two full-batch points, keyed on the batch and on w's dtype,
-    shape and bytes: the margin m = -y * (X w), sigmoid(m) once needed and
-    the gradient once computed (returned as a copy), about 4n floats at the
-    full batch.  So a full-batch step's trial does not evict its iterate.
+    The objective keeps its last minibatch point and its last two
+    full-batch points, each keyed on the batch, read as a flat index set by
+    its dtype, shape and values, and on w's dtype, shape and bytes.  A point
+    holds the margin m = -y * (X w), sigmoid(m) once needed, the gradient
+    once computed (returned as a copy) and its batch's rows: batch x d
+    floats for the minibatch point, and about 4n floats of margins and
+    sigmoids for the two full-batch points.  A new point on the kept
+    minibatch point's batch reuses its rows; any other batch is validated
+    and gathered afresh.  A full-batch step's trial does not evict its
+    iterate.
     ``features`` and ``labels`` are read without a copy when they are
     already float arrays, so they must not be edited afterwards.
     """
@@ -181,71 +183,59 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-m))
 
-    # (key, X rows, y rows) of the last batch gathered, and the kept points
-    # (key, m, sigmoid(m) or None, gradient or None), most recent first: each
-    # tuple is read once and swapped whole, so that concurrent calls each see
-    # a consistent one
-    last = (None, None, None)
+    # the kept points (key, m, sigmoid(m) or None, gradient or None, X rows,
+    # y rows), most recent first: each tuple is read once and swapped whole,
+    # so that concurrent calls each see a consistent one
     batch_points = full_points = ()
 
-    def rows(batch):
-        nonlocal last
+    def point(w, batch, need):
+        # the kept point at (w, batch), or a new one, with sigmoid(m) if
+        # need >= 1 and the gradient if need == 2, moved to the front
+        nonlocal batch_points, full_points
         if batch is None:
-            return None, X, y
-        idx = np.asarray(batch).ravel()
-        key = (idx.dtype, idx.shape, idx.tobytes())
-        memo = last
-        if memo[0] != key:
-            validate_batch(idx, n)
-            memo = last = (key, X[idx], y[idx])
-        return memo
-
-    def point(w, batch, need_sig):
-        # the kept point at (w, batch), or a new one, moved to the front,
-        # and the batch's rows
-        bkey, Xb, yb = rows(batch)
+            bkey, Xb, yb, kept = None, X, y, full_points
+        else:
+            idx = np.asarray(batch).ravel()
+            bkey, kept = (idx.dtype, idx.shape, idx.tobytes()), batch_points
+            if kept and kept[0][0][0] == bkey:  # the kept point's rows
+                Xb, yb = kept[0][4:]
+            else:
+                validate_batch(idx, n)
+                Xb, yb = X[idx], y[idx]
         key = (bkey, w.dtype, w.shape, w.tobytes())
-        kept = full_points if bkey is None else batch_points
         for p in kept:
             if p[0] == key:
                 break
         else:
-            p = (key, -yb * (Xb @ w), None, None)
-        if need_sig and p[2] is None:
-            p = (key, p[1], sigmoid(p[1]), p[3])
-        keep(p)
-        return p, Xb, yb
-
-    def keep(p):
-        nonlocal batch_points, full_points
-        if p[0][0] is None:
-            full_points = (p,) + tuple(q for q in full_points if q[0] != p[0])[:1]
+            p = (key, -yb * (Xb @ w), None, None, Xb, yb)
+        if need and p[2] is None:
+            p = p[:2] + (sigmoid(p[1]),) + p[3:]
+        if need == 2 and p[3] is None:
+            p = p[:3] + (Xb.T @ (-yb * p[2]) / len(yb) + l2 * w,) + p[4:]
+        if bkey is None:
+            full_points = (p,) + tuple(q for q in kept if q[0] != key)[:1]
         else:
             batch_points = (p,)
+        return p
 
     def f(w, batch=None):
-        (_, m, _, _), _, _ = point(w, batch, False)
+        m = point(w, batch, 0)[1]
         # log(1 + exp(m)) without overflow, averaged as .mean() does, without
         # its Python wrapper
         loss = np.add.reduce(np.logaddexp(0.0, m)) / m.size
         return float(loss + 0.5 * l2 * w @ w)
 
     def g(w, batch=None):
-        (key, m, sig, grad), Xb, yb = point(w, batch, True)
-        if grad is None:
-            grad = Xb.T @ (-yb * sig) / len(yb) + l2 * w
-            keep((key, m, sig, grad))
-        return grad.copy()
+        return point(w, batch, 2)[3].copy()
 
     def hvp(w, v, batch=None):
         # one margin and weight vector for all rows of a block v
-        (_, _, sig, _), Xb, yb = point(w, batch, True)
+        _, _, sig, _, Xb, yb = point(w, batch, 1)
         weights = sig * (1.0 - sig)
         return (weights * (Xb @ v.T).T) @ Xb / len(yb) + l2 * v
 
     def diag(w):
-        m = -y * (X @ w)
-        sig = sigmoid(m)
+        sig = point(w, None, 1)[2]
         weights = sig * (1.0 - sig)
         return (weights[:, None] * X ** 2).mean(axis=0) + l2
 

@@ -501,6 +501,17 @@ def test_a_minibatch_run_needs_a_positive_batch_size():
 
 
 @pytest.mark.parametrize("optimizer", ["adacubic", "sgd", "adam"])
+def test_a_batch_larger_than_the_dataset_is_refused_before_any_oracle_call(optimizer):
+    # the loop used to take x0's full-batch gradient and only then fail to
+    # draw the first batch
+    counted, counts = _counting(make_synthetic_logistic(40, 3, 1e-2, 1))
+    with pytest.raises(ValueError, match="batch_size <= num_samples = 40, got 41"):
+        _minibatch_run(counted, optimizer, 5, 41)
+    assert not counts
+    assert len(_minibatch_run(counted, optimizer, 5, 40).records) == 5
+
+
+@pytest.mark.parametrize("optimizer", ["adacubic", "sgd", "adam"])
 def test_a_threshold_crossed_mid_epoch_stops_the_run_at_the_next_boundary(optimizer):
     # n = 40 and a batch of 12: an epoch of 4 iterations
     obj, epoch, iters = make_synthetic_logistic(40, 3, 1e-2, 1), 4, 60
@@ -573,3 +584,21 @@ def test_scaling_f_by_a_power_of_two_changes_no_step(name, k):
 
     np.testing.assert_array_equal(steps(got, 1.0), steps(want, c))
     np.testing.assert_array_equal(got.final_x, want.final_x)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="rho is judged on the batch the step's model was fit "
+                   "to (ROADMAP item 1)")
+def test_minibatch_adacubic_ends_near_the_full_batch_minimum():
+    # d = 50 against a batch of 64: the model nearly fits its batch, so rho
+    # judged on that batch stays near 1, xi keeps growing and the full-batch
+    # loss climbs; f* is L-BFGS's, at the benchmark's tolerances
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    gaps = []
+    for seed in range(5):
+        obj = make_synthetic_logistic(2000, 50, 0.0, seed)
+        fstar = minimize(obj.eval, np.zeros(50), jac=obj.grad, method="L-BFGS-B",
+                         options={"gtol": 1e-10, "ftol": 1e-15, "maxiter": 1000}).fun
+        traj = run(obj, np.zeros(50), CFG, 100, batch_size=64, seed=seed)
+        gaps.append(obj.eval(traj.final_x) - fstar)
+    assert max(gaps) <= 0.1, gaps

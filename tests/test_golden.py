@@ -25,6 +25,9 @@ A change that alters these bytes on purpose regenerates the file with
 which prints the keys whose bytes change, one per line, before it writes
 the file (none when the stored file is missing or unreadable); list them
 in CHANGES.md.
+Regenerating it on a new stack also means moving the Python, numpy and
+scipy pins of ``.github/workflows/tier1.yml`` to that stack, so that CI
+keeps taking the exact path.
 """
 
 import copy

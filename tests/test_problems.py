@@ -250,6 +250,27 @@ def test_logistic_batch_edited_in_place_is_gathered_afresh():
     np.testing.assert_array_equal(obj.grad(w, b), fresh.grad(w, b))
 
 
+@pytest.mark.parametrize("batch_size", [16, None])
+@pytest.mark.parametrize("optimizer", ["adacubic", "sgd"])
+def test_logistic_run_gathers_each_batch_once(monkeypatch, optimizer, batch_size):
+    # an iteration's loss, gradient, HVP and post-step loss on its batch
+    # share one validation and gather; the full batch needs neither
+    checked = []
+
+    def counted(batch, num_samples):
+        checked.append(len(batch))
+        validate_batch(batch, num_samples)
+
+    monkeypatch.setattr(problems, "validate_batch", counted)
+    obj, x0, iters = make_synthetic_logistic(120, 5, 1e-2, 4), np.zeros(5), 30
+    if optimizer == "adacubic":
+        traj = run(obj, x0, AdaCubicConfig(), iters, batch_size, seed=1)
+    else:
+        traj = run_baseline(obj, x0, optimizer, 0.1, iters, batch_size, seed=1)
+    assert len(traj.records) == iters
+    assert checked == ([] if batch_size is None else [batch_size] * iters)
+
+
 @pytest.mark.parametrize("batch", [np.array([0, 5, 7]), None])
 def test_logistic_point_edited_in_place_is_recomputed(batch):
     # the margin, sigmoid and gradient at w are kept, keyed on w's bytes: a
@@ -301,10 +322,13 @@ def test_logistic_full_batch_points_equal_a_fresh_objectives(monkeypatch):
     x, t1, t2 = (rng.standard_normal(4) for _ in range(3))
     V = rademacher_probes(rng, 2, 4)
     calls = [("grad", x), ("eval", x), ("hvp", x), ("eval", t1), ("hvp", x),
-             ("eval", t2), ("grad", t2), ("hvp", t2), ("grad", x), ("eval", t1)]
+             ("eval", t2), ("grad", t2), ("hvp", t2), ("grad", x), ("eval", t1),
+             ("diag", x)]
 
     def call(obj, name, w):
-        return obj.hvp(w, V) if name == "hvp" else getattr(obj, name)(w)
+        if name == "hvp":
+            return obj.hvp(w, V)
+        return obj.exact_diag_hessian(w) if name == "diag" else getattr(obj, name)(w)
 
     want = [call(fresh(), name, w) for name, w in calls]
     obj = fresh()
@@ -313,7 +337,8 @@ def test_logistic_full_batch_points_equal_a_fresh_objectives(monkeypatch):
     for (name, w), value in zip(calls, want):
         assert np.array_equal(call(obj, name, w), value), (name, w)
     # a sigmoid of the 50 rows is computed once at x and once at t2: the
-    # trials do not evict the iterate
+    # trials do not evict the iterate, and the exact diagonal at x reads
+    # its kept sigmoid
     assert counting.sizes == [50, 50]
 
 
