@@ -68,7 +68,7 @@ def hard_case_step(b: np.ndarray, g: np.ndarray, s_reg: np.ndarray,
 
     For diagonal curvature the most-negative eigenvector is a coordinate
     axis.  Of the two roots of ||s_reg + alpha e_j|| = xi^(1/3), the one
-    with the smaller quadratic model value wins; ties go to alpha > 0.
+    with the larger model decrease wins; ties go to the larger alpha.
     """
     r = xi ** (1.0 / 3.0)
     j = int(np.argmin(b))  # smallest index on ties, for determinism
@@ -77,28 +77,18 @@ def hard_case_step(b: np.ndarray, g: np.ndarray, s_reg: np.ndarray,
     if disc < 0.0:
         raise AssertionError("hard case invoked with ||s_reg|| >= radius")
     root = np.sqrt(disc)
-    alphas = (-s_reg[j] + root, -s_reg[j] - root)
-
-    def quad(alpha: float) -> float:
+    candidates = []
+    for alpha in (-s_reg[j] + root, -s_reg[j] - root):
         s = s_reg.copy()
         s[j] += alpha
-        # both candidates share ||s|| = r, so the cubic term cancels
-        return float(g @ s + 0.5 * s @ (b * s))
-
-    alpha = max(alphas, key=lambda a: (-quad(a), a))
-    s = s_reg.copy()
-    s[j] += alpha
-    return s, float(alpha)
+        # both candidates share ||s|| = r, so the cubic term ranks nothing
+        candidates.append((_model_decrease(b, g, s, 0.0, r), float(alpha), s))
+    _, alpha, s = max(candidates, key=lambda c: c[:2])
+    return s, alpha
 
 
 def _model_decrease(b, g, s, nu, ns) -> float:
     return float(-(g @ s + 0.5 * s @ (b * s) + nu / 6.0 * ns ** 3))
-
-
-def _nu_init(lam: float, r: float) -> float:
-    # lambda_d^+ barely below lambda_d keeps the initial shift strictly PD
-    margin = max(1e-8, 1e-8 * abs(lam))
-    return -2.0 * (lam - margin) / r
 
 
 def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
@@ -130,28 +120,27 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
         raise ValueError("b and g must be finite")
 
     r = xi ** (1.0 / 3.0)
-    # shift > 0 at this nu (lam > 0 or _nu_init's margin) and at every later, no smaller nu
-    nu = 0.0 if lam > 0.0 else _nu_init(lam, r)
+    # shift > 0 at this nu (lam > 0, or the margin below lam) and at every later, no smaller nu
+    nu = 0.0 if lam > 0.0 else -2.0 * (lam - max(1e-8, 1e-8 * abs(lam))) / r
     shift, s, ns = _solve(b, g, nu, r)
 
     if ns ** 3 <= xi:
         # s = 0 (g = 0) is interior or a hard-case escape, never on the boundary
         if ns > 0.0 and abs(ns ** 3 - xi) <= 1e-12 * xi:
-            return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, 0, 0,
-                                      _model_decrease(b, g, s, nu, ns))
-        if lam >= 0.0:
-            return SubproblemSolution(s, 0.0, SubproblemStatus.INTERIOR, 0, 0,
-                                      _model_decrease(b, g, s, 0.0, ns))
-        s, _ = hard_case_step(b, g, s, xi)
-        return SubproblemSolution(s, nu, SubproblemStatus.HARD_CASE, 0, 0,
-                                  _model_decrease(b, g, s, nu, math.sqrt(s.dot(s))))
+            status = SubproblemStatus.BOUNDARY
+        elif lam >= 0.0:
+            status, nu = SubproblemStatus.INTERIOR, 0.0
+        else:
+            status = SubproblemStatus.HARD_CASE
+            s, _ = hard_case_step(b, g, s, xi)
+            ns = math.sqrt(s.dot(s))
+        return SubproblemSolution(s, nu, status, 0, 0, _model_decrease(b, g, s, nu, ns))
 
     # ||s||^3 > xi: the constraint is active and phi(nu, r) < 0 here
     tol_abs = KKT_TOL * (1.0 + math.sqrt(gg))
     nu_lo, nu_hi = nu, math.inf
     iters_to_band = -1
-    iters = 0
-    while True:
+    for iters in range(MAX_NEWTON_ITERS + 1):
         gap = abs(ns - r)
         if gap <= KAPPA_EASY * r:
             if iters_to_band < 0:
@@ -171,7 +160,6 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
             proposal = 0.5 * (nu_lo + nu_hi) if math.isfinite(nu_hi) else 2.0 * max(nu, 1.0)
         nu = proposal
         shift, s, ns = _solve(b, g, nu, r)
-        iters += 1
 
     best = SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
                               max(iters_to_band, 0), _model_decrease(b, g, s, nu, ns))

@@ -47,7 +47,6 @@ from adacubic import (IterationClass, SolverStallError, harness, make_rosenbrock
 from adacubic.harness import parse_config_text, run_experiment
 
 from test_acceptance import run_criterion_6b
-from test_subproblem import _scaled_instances
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
@@ -173,6 +172,24 @@ def solution_entry(sol) -> dict:
     return {"s": sol.s.tolist(), "nu": sol.nu, "status": sol.status.value,
             "newton_iters": sol.newton_iters,
             "newton_iters_to_band": sol.newton_iters_to_band}
+
+
+# the floor of the scaled instances' xi: part of the definition of that
+# instance family, whose solutions tests/golden.json pins, so it stays 1e-6
+# whatever AdaCubicConfig.eps_m becomes
+EPS_M = 1e-6
+
+
+def _scaled_instances(n, seed=2024):
+    """Seeded kkt-style instances with b and xi each scaled by 10^U(-6, 6)
+    (xi floored at eps_m): at these scales the absolute stop test
+    kkt_tol * (1 + ||g||) can be out of reach, so some solves stall."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        b, g, xi = verify.random_instance(rng)
+        b = b * 10.0 ** rng.uniform(-6, 6)
+        xi = max(xi * 10.0 ** rng.uniform(-6, 6), EPS_M)
+        yield b, g, xi
 
 
 def solver_entries(kkt_solutions: list) -> dict:

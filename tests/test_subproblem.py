@@ -15,12 +15,7 @@ from adacubic.subproblem import (KAPPA_EASY, KKT_TOL, MAX_NEWTON_ITERS, _solve,
                                  hard_case_step)
 from adacubic.verify import (BRUTE_FORCE_RESOLUTION, ShiftNotPositiveDefiniteError,
                              _shifted_solve, brute_force_subproblem_min, dphi_dnu,
-                             kkt_residual, phi, random_instance)
-
-# the floor of the scaled instances' xi: part of the definition of that
-# instance family, whose solutions tests/golden.json pins, so it stays 1e-6
-# whatever AdaCubicConfig.eps_m becomes
-EPS_M = 1e-6
+                             kkt_residual, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +125,36 @@ def test_hard_case_argmin_tie_uses_smallest_index():
     b = np.array([-1.0, -1.0])
     s, _ = hard_case_step(b, np.zeros(2), np.zeros(2), 1.0)
     np.testing.assert_allclose(s, [1.0, 0.0])
+
+
+def test_hard_case_returns_the_root_of_smaller_model_value_ties_to_larger_alpha():
+    # random hard-case inputs: min b < 0 and s_reg strictly inside the
+    # radius; every third case has g_j = s_reg_j = 0, where the two roots
+    # +-root tie exactly in model value
+    rng = np.random.default_rng(4242)
+    winners = set()
+    for case in range(300):
+        d = int(rng.integers(1, 6))
+        b = rng.normal(size=d)
+        j = int(np.argmin(b))
+        b[j] = -abs(b[j]) - 0.1
+        g, s_reg = rng.normal(size=d), rng.normal(size=d)
+        if case % 3 == 0:
+            g[j] = s_reg[j] = 0.0
+        xi = (math.sqrt(s_reg @ s_reg) * rng.uniform(1.1, 3.0)) ** 3
+        r = xi ** (1.0 / 3.0)
+        root = math.sqrt(r * r - float(s_reg @ s_reg - s_reg[j] ** 2))
+        ranked = []
+        for alpha in (-s_reg[j] + root, -s_reg[j] - root):
+            s = s_reg.copy()
+            s[j] += alpha
+            ranked.append((float(g @ s + 0.5 * s @ (b * s)), -float(alpha), s))
+        _, neg_alpha, expected = min(ranked, key=lambda c: c[:2])
+        s, alpha = hard_case_step(b, g, s_reg, xi)
+        assert alpha == -neg_alpha and np.array_equal(s, expected)
+        tie = ranked[0][0] == ranked[1][0]
+        winners.add("tie" if tie else "+" if alpha > -s_reg[j] else "-")
+    assert winners == {"tie", "+", "-"}
 
 
 # ---------------------------------------------------------------------------
@@ -326,34 +351,15 @@ def test_matches_brute_force_on_low_dimensions():
 # the stall path and the Newton budget
 # ---------------------------------------------------------------------------
 
-def _scaled_instances(n, seed=2024):
-    """Seeded kkt-style instances with b and xi each scaled by 10^U(-6, 6)
-    (xi floored at eps_m): at these scales the absolute stop test
-    kkt_tol * (1 + ||g||) can be out of reach, so some solves stall."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n):
-        b, g, xi = random_instance(rng)
-        b = b * 10.0 ** rng.uniform(-6, 6)
-        xi = max(xi * 10.0 ** rng.uniform(-6, 6), EPS_M)
-        yield b, g, xi
-
-
-def _outcome(solver, b, g, xi):
-    try:
-        sol = solver(b, g, xi)
-    except SolverStallError:
-        return "stall"
-    return (sol.s.tobytes(), sol.s.dtype, sol.s.shape, sol.nu, sol.status,
-            sol.newton_iters, sol.newton_iters_to_band, sol.model_decrease)
-
-
-def test_stall_raises_with_the_last_finite_iterate_after_the_budget():
-    b, g, xi = next((b, g, xi) for b, g, xi in _scaled_instances(400)
-                    if _outcome(root_finder, b, g, xi) == "stall")
+def test_stall_raises_with_the_last_finite_iterate_after_the_budget(kkt_solved, monkeypatch):
+    # a budget of 3 passes, below what this instance needs: the stall path
+    # without an instance that stalls at the real budget
+    b, g, xi, _ = next(item for item in kkt_solved[0] if item[3].newton_iters > 3)
+    monkeypatch.setattr(subproblem, "MAX_NEWTON_ITERS", 3)
     with pytest.raises(SolverStallError) as info:
         root_finder(b, g, xi)
     best = info.value.best
-    assert best.newton_iters == MAX_NEWTON_ITERS
+    assert best.newton_iters == subproblem.MAX_NEWTON_ITERS
     assert best.status is SubproblemStatus.BOUNDARY
     assert np.all(np.isfinite(best.s)) and np.isfinite(best.nu)
 
