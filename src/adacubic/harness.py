@@ -86,40 +86,38 @@ def parse_value(raw: str):
 
 def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
+    run_params = {}  # [run] may reopen, as each of its keys is still set once
     section = params = None
-    keys = {}  # section -> the keys it has set so far
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            # [run] may reopen, as each of its keys is still set once
-            if section in keys and section != "run":
-                raise ConfigError(f"line {lineno}: duplicate section [{section}]")
-            keys.setdefault(section, set())
             axis, dot, name = section.partition(".")
-            if dot and axis in ("problem", "optimizer"):
+            if section == "run":
+                params = run_params
+            elif dot and axis in ("problem", "optimizer"):
+                table = getattr(cfg, axis + "s")
+                if name in table:
+                    raise ConfigError(f"line {lineno}: duplicate section [{section}]")
                 if not _SECTION_NAME.fullmatch(name) or "__" in name:
                     raise ConfigError(f"line {lineno}: section name {name!r} must be "
                                       "letters, digits, '_', '.' or '-', without '__'")
-                params = getattr(cfg, axis + "s")[name] = {}
-            elif section != "run":
+                params = table[name] = {}
+            else:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line or section is None:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key in keys[section]:
+        if key in params:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
-        keys[section].add(key)
         # out and data name paths, so their text is kept as written
-        value = raw.strip() if key in ("out", "data") else parse_value(raw)
-        if section == "run":
-            _apply_run_key(cfg, key, value)
-        else:
-            params[key] = value
+        params[key] = raw.strip() if key in ("out", "data") else parse_value(raw)
+    for key, value in run_params.items():
+        _apply_run_key(cfg, key, value)
     validate_config(cfg)
     return cfg
 

@@ -56,9 +56,7 @@ def hutchinson_diag(hvp: Callable[[np.ndarray], np.ndarray], V: np.ndarray) -> n
     if not math.isfinite(np.vdot(hv, hv)) and not np.isfinite(hv).all():
         raise FloatingPointError("non-finite Hessian-vector product")
     p = hv * V
-    # np.add.accumulate walks a (1, d) block column by column, ~10x dearer
-    # at d = 1000 than the one add
-    if S == 1:
-        return 0.0 + p[0]  # turns -0.0 into 0.0
-    # the running sum adds the rows in order
-    return (0.0 + np.add.accumulate(p, axis=0)[-1]) / S
+    total = 0.0 + p[0]  # turns -0.0 into 0.0
+    for i in range(1, S):
+        total += p[i]
+    return total / S if S > 1 else total
