@@ -97,11 +97,13 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
     On the boundary the dual variable is found by one bracketed
     Newton-bisection loop on the secular equation.  Each pass solves the
     shifted system once; it stops when ||s|| is inside the relative radius
-    band ``KAPPA_EASY`` and the stationarity residual is below
-    ``KKT_TOL * (1 + ||g||)`` (a few extra quadratic-phase passes), so
-    emitted steps satisfy the KKT conditions tightly.  Otherwise it narrows
-    the bracket and takes the Newton step, or bisects (doubles while the
-    bracket has no upper end) when that step leaves the bracket.  At most
+    band ``KAPPA_EASY`` and the stationarity residual is below ``KKT_TOL``
+    times the largest of its terms, max(||g||, ||b s||, nu/2 ||s|| ||s||)
+    in the max-norm (a few extra quadratic-phase passes), so emitted steps
+    satisfy the KKT conditions tightly at any scale of b and g.  Otherwise
+    it narrows the bracket and takes the Newton step, or bisects (doubles
+    from max(nu, ||g|| / r^2) while the bracket has no upper end) when that
+    step leaves the bracket.  At most
     ``MAX_NEWTON_ITERS`` steps are taken; then :class:`SolverStallError`
     carries the last iterate.  Needs 0 < xi < inf and finite 1-D b and g of
     one length; otherwise raises ``ValueError`` before any solve.
@@ -113,15 +115,19 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
     if not (0.0 < xi < math.inf):  # NaN fails
         raise ValueError(f"need 0 < xi < inf, got {xi!r}")
     lam = float(np.minimum.reduce(b))
+    b_max = max(-lam, float(np.maximum.reduce(b)))  # max |b|
     gg = g @ g
     # b is finite iff its extremes are; g iff g @ g is, unless that overflows
-    if not (math.isfinite(lam) and math.isfinite(np.maximum.reduce(b))
-            and (math.isfinite(gg) or np.isfinite(g).all())):
+    if not (math.isfinite(b_max) and (math.isfinite(gg) or np.isfinite(g).all())):
         raise ValueError("b and g must be finite")
 
     r = xi ** (1.0 / 3.0)
-    # shift > 0 at this nu (lam > 0, or the margin below lam) and at every later, no smaller nu
-    nu = 0.0 if lam > 0.0 else -2.0 * (lam - max(1e-8, 1e-8 * abs(lam))) / r
+    g_norm = math.sqrt(gg)
+    # shift > 0 at this nu (lam > 0, or a margin below lam in b's own scale,
+    # or in g's when b = 0, where ||g|| / r puts s on the radius; with b = g = 0
+    # any margin gives s = 0) and at every later, no smaller nu
+    margin = 1e-8 * b_max or g_norm / r or 1.0
+    nu = 0.0 if lam > 0.0 else -2.0 * (lam - margin) / r
     shift, s, ns = _solve(b, g, nu, r)
 
     if ns ** 3 <= xi:
@@ -137,7 +143,7 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
         return SubproblemSolution(s, nu, status, 0, 0, _model_decrease(b, g, s, nu, ns))
 
     # ||s||^3 > xi: the constraint is active and phi(nu, r) < 0 here
-    tol_abs = KKT_TOL * (1.0 + math.sqrt(gg))
+    g_max = float(np.maximum.reduce(np.abs(g)))
     nu_lo, nu_hi = nu, math.inf
     iters_to_band = -1
     for iters in range(MAX_NEWTON_ITERS + 1):
@@ -145,7 +151,10 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
         if gap <= KAPPA_EASY * r:
             if iters_to_band < 0:
                 iters_to_band = iters
-            if 0.5 * nu * gap * float(np.maximum.reduce(np.abs(s))) <= tol_abs:
+            # the stationarity residual is nu/2 (||s|| - r) s
+            term = 0.5 * nu * float(np.maximum.reduce(np.abs(s)))
+            bs_max = float(np.maximum.reduce(np.abs(b * s)))
+            if term * gap <= KKT_TOL * max(g_max, bs_max, term * ns):
                 return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
                                           iters_to_band, _model_decrease(b, g, s, nu, ns))
         if iters == MAX_NEWTON_ITERS:
@@ -157,7 +166,8 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
             nu_hi = min(nu_hi, nu)
         proposal = nu - phi_val / _dphi(shift, s, ns, r)
         if not (nu_lo < proposal < nu_hi):
-            proposal = 0.5 * (nu_lo + nu_hi) if math.isfinite(nu_hi) else 2.0 * max(nu, 1.0)
+            proposal = (0.5 * (nu_lo + nu_hi) if math.isfinite(nu_hi)
+                        else 2.0 * max(nu, g_norm / (r * r)))
         nu = proposal
         shift, s, ns = _solve(b, g, nu, r)
 

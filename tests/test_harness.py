@@ -690,7 +690,7 @@ def test_cli_deviation_report_is_pinned(flags, report, tmp_path, capsys):
 
 
 VERIFY_REPORT = """\
-PASS kkt: n=500 max stationarity/tol=9.677e-03 min shifted curvature=0.000e+00 max decrease-margin excess=-3.800e-03 max iters-to-band=5
+PASS kkt: n=500 max stationarity/tol=1.198e-02 min shifted curvature=0.000e+00 max decrease-margin excess=-3.800e-03 max iters-to-band=5
 PASS duality: n=100 max coord err/grid-tol=0.000 worst probe violation=-6.683e-12
 PASS phi-calculus: n=200 max fd err/tol=0.000
 PASS hutchinson: diag err=0.0e+00 enum err=2.2e-16 median devs S=1,4,16: 3.0696, 1.4266, 0.7238

@@ -377,9 +377,6 @@ def test_max_newton_iters_bounds_the_passes(kkt_solved, monkeypatch):
     assert exact.nu == sol.nu and np.array_equal(exact.s, sol.s)
 
 
-@pytest.mark.xfail(strict=True, raises=(AssertionError, SolverStallError),
-                   reason="root_finder's eigenvalue margin, stop test and "
-                   "bisection start are absolute in units of f (ROADMAP item 2)")
 @pytest.mark.parametrize("k", [-40, -20, 20, 40])
 def test_scaling_b_and_g_by_a_power_of_two_changes_no_solution(kkt_solved, k):
     # c b and c g scale the model's quadratic part by c = 2**k exactly, so a
@@ -394,12 +391,11 @@ def test_scaling_b_and_g_by_a_power_of_two_changes_no_solution(kkt_solved, k):
     assert not changed, f"{len(changed)} instances changed, first: {changed[:10]}"
 
 
-@pytest.mark.xfail(strict=True, raises=SolverStallError,
-                   reason="the stop test is absolute in units of f (ROADMAP item 2)")
 def test_an_unscaled_near_minimizer_instance_solves_within_criterion_1s_bounds():
     # the S = 1 estimate and gradient at which Rosenbrock d = 2 from
-    # (-1.2, 1), seed 0, stalls once ||g|| is about 5e-8: nu sits just above
-    # the hard case, where one ulp of nu moves ||s|| past the absolute stop
+    # (-1.2, 1), seed 0, stalled under an absolute stop test once ||g|| was
+    # about 5e-8: nu sits just above the hard case, where one ulp of nu
+    # moves ||s|| by more than KKT_TOL * (1 + ||g||) allows
     b = np.array([401.99990832225524, -199.9999694067577])
     g = np.array([-5.0988770567097366e-08, -5.098872435382873e-08])
     xi = 1e-6
