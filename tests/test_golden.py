@@ -274,11 +274,13 @@ def test_golden_pin(part, fresh):
     assert not bad, f"{len(bad)} pinned entries changed, first: {bad[:10]}"
 
 
+def _elsewhere(stored: dict) -> dict:
+    return dict(stored, stack=dict(stored["stack"], blas="another 1.0"))
+
+
 def test_another_stack_accepts_todays_results(fresh):
     # the tolerance path must not fail on results that match bit for bit
-    stored = load()
-    elsewhere = dict(stored, stack=dict(stored["stack"], blas="another 1.0"))
-    assert mismatches(elsewhere, fresh) == []
+    assert mismatches(_elsewhere(fresh), fresh) == []
 
 
 def test_golden_file_is_what_regeneration_writes():
@@ -300,15 +302,11 @@ BITE_RUN = "full/ros2__ac_s1__seed0.csv"
 
 
 @pytest.fixture(scope="module")
-def bite():
-    """The pin cut down to the two entries that the edits below touch."""
-    golden = load()
-    return {"stack": golden["stack"], "runs": {BITE_RUN: golden["runs"][BITE_RUN]},
-            "solver": {"kkt/0": golden["solver"]["kkt/0"]}}
-
-
-def _elsewhere(stored: dict) -> dict:
-    return dict(stored, stack=dict(stored["stack"], blas="another 1.0"))
+def bite(fresh):
+    """This checkout's pin cut down to the two entries that the edits below
+    touch, so that these tests judge the comparison, not the stored file."""
+    return {"stack": fresh["stack"], "runs": {BITE_RUN: fresh["runs"][BITE_RUN]},
+            "solver": {"kkt/0": fresh["solver"]["kkt/0"]}}
 
 
 @pytest.mark.parametrize("edit", ["loss_after one ulp up", "class flipped"])
@@ -322,7 +320,6 @@ def test_one_record_changed_fails_the_exact_pin(edit, bite, tmp_path):
         harness.write_trajectory_csv(path, records)
         return _digest(path)
 
-    assert digest(records) == bite["runs"][BITE_RUN]["sha256"]
     rec = records[5]
     assert rec.status is IterationClass.VERY_SUCCESSFUL
     change = {"loss_after one ulp up":
