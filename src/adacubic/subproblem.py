@@ -123,11 +123,9 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
 
     r = xi ** (1.0 / 3.0)
     g_norm = math.sqrt(gg)
-    # shift > 0 at this nu (lam > 0, or a margin below lam in b's own scale,
-    # or in g's when b = 0, where ||g|| / r puts s on the radius; with b = g = 0
-    # any margin gives s = 0) and at every later, no smaller nu
-    margin = 1e-8 * b_max or g_norm / r or 1.0
-    nu = 0.0 if lam > 0.0 else -2.0 * (lam - margin) / r
+    # shift > 0 at this nu and every later, no smaller one: lam > 0, or a margin
+    # below lam of 1e-8 max|b|, or ||g|| / r if b = 0 (any if g = 0 too: s = 0)
+    nu = 0.0 if lam > 0.0 else -2.0 * (lam - (1e-8 * b_max or g_norm / r or 1.0)) / r
     shift, s, ns = _solve(b, g, nu, r)
 
     if ns ** 3 <= xi:

@@ -182,8 +182,8 @@ EPS_M = 1e-6
 
 def _scaled_instances(n, seed=2024):
     """Seeded kkt-style instances with b and xi each scaled by 10^U(-6, 6)
-    (xi floored at eps_m): the scales at which a stop test absolute in
-    units of f stalls, which the pin records as "stall"."""
+    (xi floored at eps_m): scales far from 1, where a tolerance absolute in
+    units of f would stall the solver; a stall is pinned as "stall"."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
         b, g, xi = verify.random_instance(rng)

@@ -208,6 +208,7 @@ def test_root_finder_hard_case():
     ([1.0, 2.0], SubproblemStatus.INTERIOR, False),    # lambda > 0
     ([1.0, 0.0], SubproblemStatus.INTERIOR, False),    # lambda = 0
     ([1.0, -1.0], SubproblemStatus.HARD_CASE, True),   # lambda < 0
+    ([0.0, 0.0], SubproblemStatus.INTERIOR, False),    # b = 0: any margin gives s = 0
 ])
 def test_root_finder_zero_gradient_outcomes(b, status, decrease, xi):
     # a zero step is never classed BOUNDARY, even where its cube is within
@@ -222,6 +223,17 @@ def test_root_finder_zero_gradient_outcomes(b, status, decrease, xi):
     else:  # escape along e_1 to the radius; lambda_d^+ = -1 - 1e-8 gives nu
         assert sol.nu == pytest.approx(2.0 * (1.0 + 1e-8) / r, rel=1e-14)
         np.testing.assert_allclose(sol.s, [0.0, r], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("xi", [1.0, 1e-13])
+def test_root_finder_steps_against_the_gradient_to_the_radius_when_b_is_zero(xi):
+    # with b = 0 the margin ||g|| / r below lam = 0 is the solution's own nu
+    g = np.array([3.0, -4.0])
+    sol = root_finder(np.zeros(2), g, xi)
+    r = xi ** (1.0 / 3.0)
+    assert sol.status is SubproblemStatus.BOUNDARY and sol.newton_iters == 0
+    np.testing.assert_allclose(sol.s, -r * g / 5.0, rtol=1e-14, atol=0.0)
+    assert sol.nu == pytest.approx(10.0 / r ** 2, rel=1e-14)
 
 
 def test_solver_constants():
