@@ -45,14 +45,15 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
     minibatch one, e = ceil(num_samples / batch_size).  It stops the run
     when the full-batch gradient norm at x is at most ``stop_grad_norm``
     (and ``curvature_ok(x)``, if given).  Otherwise the iteration calls
-    ``step(k, x, batch, loss, g) -> (x', record)`` with the loss and gradient
-    at x on ``batch``: None in a full-batch run, else drawn from the stream of
-    ``SeedSequence(seed).spawn(1)[0]``.  The full-batch loss and gradient at
-    a point are each computed at most once, when an iteration first needs
-    them.  A non-finite stop-test gradient norm raises ``FloatingPointError``;
-    ``stop_grad_norm`` outside [0, inf), ``x0`` not of shape (obj.dim,) or a
-    minibatch ``batch_size`` outside [1, num_samples] is a ``ValueError``,
-    raised before any oracle call.
+    ``step(k, x, batch, loss, g, g_norm) -> (x', record)`` with the loss,
+    gradient and gradient norm at x on ``batch``: None in a full-batch run,
+    else drawn from the stream of ``SeedSequence(seed).spawn(1)[0]``.  The
+    full-batch loss, gradient and gradient norm at a point are each computed
+    at most once, when an iteration first needs them.  A non-finite
+    stop-test gradient norm raises ``FloatingPointError``; ``stop_grad_norm``
+    outside [0, inf), ``x0`` not of shape (obj.dim,) or a minibatch
+    ``batch_size`` outside [1, num_samples] is a ``ValueError``, raised
+    before any oracle call.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -81,10 +82,11 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
                 break
         if full_batch:
             loss = obj.eval(x) if loss is None else loss
-            x, rec = step(k, x, None, loss, g_full)
+            x, rec = step(k, x, None, loss, g_full, grad_norm)
         else:
             batch = draw_batch(batches, obj.num_samples, batch_size)
-            x, rec = step(k, x, batch, obj.eval(x, batch), obj.grad(x, batch))
+            f, g = obj.eval(x, batch), obj.grad(x, batch)
+            x, rec = step(k, x, batch, f, g, math.sqrt(g @ g))
         records.append(rec)
         if rec.accepted:
             loss, g_full = (rec.loss_after if full_batch else None), None
@@ -94,10 +96,12 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
 
 
 def adacubic_step(obj: Objective, x: np.ndarray, xi: float, b: np.ndarray,
-                  loss_before: float, g: np.ndarray, batch=None, iteration=0):
-    """One iteration from x, whose loss, gradient and diagonal curvature
-    estimate on ``batch`` (the full objective when None) are ``loss_before``,
-    ``g`` and ``b``: solve the subproblem, accept or reject.
+                  loss_before: float, g: np.ndarray, g_norm: float, batch=None,
+                  iteration=0):
+    """One iteration from x, whose loss, gradient, gradient norm
+    ``math.sqrt(g @ g)`` and diagonal curvature estimate on ``batch`` (the
+    full objective when None) are ``loss_before``, ``g``, ``g_norm`` and
+    ``b``: solve the subproblem, accept or reject.
 
     The post-step loss is on ``batch`` too; ``iteration`` numbers the record.
     A degenerate step (no predicted decrease) evaluates no post-step loss:
@@ -117,7 +121,7 @@ def adacubic_step(obj: Objective, x: np.ndarray, xi: float, b: np.ndarray,
         loss_after, ratio, status, new_xi = \
             loss_before, float("nan"), IterationClass.UNSUCCESSFUL, xi
     accepted = status is not IterationClass.UNSUCCESSFUL
-    rec = StepRecord(iteration, loss_before, loss_after, math.sqrt(g @ g), ratio,
+    rec = StepRecord(iteration, loss_before, loss_after, g_norm, ratio,
                      sol.nu, xi, step_norm, status, sol.status, accepted)
     return (x_new if accepted else x.copy()), new_xi, rec
 
@@ -145,9 +149,10 @@ def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,
     def curvature(x: np.ndarray, batch=None) -> np.ndarray:
         return hutchinson_diag(lambda V: obj.hvp(x, V, batch), next(probes))
 
-    def step(k, x, batch, loss, g):
+    def step(k, x, batch, loss, g, g_norm):
         nonlocal xi
-        x, xi, rec = adacubic_step(obj, x, xi, curvature(x, batch), loss, g, batch, k)
+        x, xi, rec = adacubic_step(obj, x, xi, curvature(x, batch), loss, g, g_norm,
+                                   batch, k)
         return x, rec
 
     return _iterate(obj, x0, max_iters, batch_size, stop_grad_norm, seed, step,
@@ -187,7 +192,7 @@ def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
     zeros = np.zeros_like(x0, dtype=float)
     moments = (zeros, zeros, 0)
 
-    def step(k, x, batch, loss, g):
+    def step(k, x, batch, loss, g, g_norm):
         nonlocal moments
         if optimizer == "sgd":
             x_new = x - lr * g
@@ -195,7 +200,7 @@ def run_baseline(obj: Objective, x0: np.ndarray, optimizer: str, lr: float,
             x_new, moments = adam_step(x, g, moments, lr)
         s = x_new - x
         return x_new, StepRecord(
-            k, loss, obj.eval(x_new, batch), math.sqrt(g @ g),
+            k, loss, obj.eval(x_new, batch), g_norm,
             float("nan"), float("nan"), float("nan"), math.sqrt(s.dot(s)),
             IterationClass.SUCCESSFUL, SubproblemStatus.INTERIOR, True)
 

@@ -3,7 +3,8 @@
 Every problem is an :class:`Objective`.  Stochastic objectives (finite-sum
 losses) additionally accept a batch of sample indices; ``batch=None`` means
 the full dataset.  All callables are pure in their results and safe to
-evaluate concurrently at distinct points.  The logistic objective keeps its
+evaluate concurrently at distinct points.  The Rosenbrock objective keeps
+its last HVP point's Hessian diagonals.  The logistic objective keeps its
 last minibatch point, with that batch's rows, and its last two full-batch
 points: at each the margin, its sigmoid and the gradient (about 4n floats at
 the full batch), so the calls of one iteration gather their batch and
@@ -94,13 +95,16 @@ def make_rosenbrock(d: int) -> Objective:
     """Chained Rosenbrock; global minimum at the all-ones vector.
 
     The Hessian is tridiagonal, so its diagonal and its products with a
-    vector cost O(d) and no d x d matrix is formed.
+    vector cost O(d) and no d x d matrix is formed.  The objective keeps the
+    diagonal and the off-diagonal at its last HVP point, keyed on x's bytes
+    (2d floats).
     """
     if d < 2:
         raise ValueError("rosenbrock needs d >= 2")
 
     # np.add.reduce and np.zeros(shape) do the work of np.sum and
-    # np.zeros_like without their Python wrappers, costly at small d
+    # np.zeros_like without their Python wrappers, costly at small d, and
+    # += on a named view skips the copy back that out[i:j] += makes
     def f(x, b=None):
         t, u = x[1:] - x[:-1] ** 2, 1.0 - x[:-1]
         return float(np.add.reduce(100.0 * t ** 2 + u ** 2))
@@ -108,23 +112,35 @@ def make_rosenbrock(d: int) -> Objective:
     def g(x, b=None):
         out = np.zeros(x.shape)
         t = x[1:] - x[:-1] ** 2
-        out[:-1] += -400.0 * x[:-1] * t - 2.0 * (1.0 - x[:-1])
-        out[1:] += 200.0 * t
+        lo, hi = out[:-1], out[1:]
+        lo += -400.0 * x[:-1] * t - 2.0 * (1.0 - x[:-1])
+        hi += 200.0 * t
         return out
 
     def diag(x):
         out = np.zeros(x.shape)
         sq = x[:-1] ** 2
         out[:-1] = 2.0 - 400.0 * (x[1:] - sq) + 800.0 * sq
-        out[1:] += 200.0
+        hi = out[1:]
+        hi += 200.0
         return out
 
+    # the last HVP point (x's bytes, diag(x), H[i, i+1] = H[i+1, i]): read
+    # once and swapped whole, so that concurrent calls each see a consistent
+    # one; a rejected step's next HVP is at the same iterate
+    kept = (None, None, None)
+
     def hvp(x, v, b=None):
-        off = -400.0 * x[:-1]  # H[i, i+1] = H[i+1, i]
-        out = diag(x) * v  # v is one vector or a block of rows
+        nonlocal kept
+        key, dg, off = kept
+        xb = x.tobytes()
+        if key != xb:
+            dg, off = diag(x), -400.0 * x[:-1]
+            kept = (xb, dg, off)
+        out = dg * v  # v is one vector or a block of rows
         lo, hi = out[..., :-1], out[..., 1:]
-        np.add(lo, off * v[..., 1:], out=lo)
-        np.add(hi, off * v[..., :-1], out=hi)
+        lo += off * v[..., 1:]
+        hi += off * v[..., :-1]
         return out
 
     return Objective(dim=d, eval_fn=f, grad_fn=g, hvp_fn=hvp, exact_diag_fn=diag)

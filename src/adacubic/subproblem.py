@@ -88,7 +88,8 @@ def hard_case_step(b: np.ndarray, g: np.ndarray, s_reg: np.ndarray,
 
 
 def _model_decrease(b, g, s, nu, ns) -> float:
-    return float(-(g @ s + 0.5 * s @ (b * s) + nu / 6.0 * ns ** 3))
+    # s is always the solver's own contiguous array, so s.dot equals s @
+    return float(-(g @ s + 0.5 * s.dot(b * s) + nu / 6.0 * ns ** 3))
 
 
 def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
@@ -149,10 +150,13 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
         if gap <= KAPPA_EASY * r:
             if iters_to_band < 0:
                 iters_to_band = iters
-            # the stationarity residual is nu/2 (||s|| - r) s
+            # the stationarity residual is nu/2 (||s|| - r) s; rounding is
+            # monotone, so taking ||b s|| only when the other terms fail
+            # decides as one max of the three would
             term = 0.5 * nu * float(np.maximum.reduce(np.abs(s)))
-            bs_max = float(np.maximum.reduce(np.abs(b * s)))
-            if term * gap <= KKT_TOL * max(g_max, bs_max, term * ns):
+            res = term * gap
+            if (res <= KKT_TOL * max(g_max, term * ns)
+                    or res <= KKT_TOL * float(np.maximum.reduce(np.abs(b * s)))):
                 return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
                                           iters_to_band, _model_decrease(b, g, s, nu, ns))
         if iters == MAX_NEWTON_ITERS:

@@ -132,5 +132,7 @@ def test_nan_rho_propagates_from_update():
     obj = dataclasses.replace(
         quad, eval_fn=lambda x, b=None: 0.0 if x[0] == 0.0 else math.nan)
     x = np.zeros(1)
+    g = obj.grad(x)
     with pytest.raises(ValueError):
-        adacubic_step(obj, x, 1.0, obj.exact_diag_hessian(x), obj.eval(x), obj.grad(x))
+        adacubic_step(obj, x, 1.0, obj.exact_diag_hessian(x), obj.eval(x), g,
+                      math.sqrt(g @ g))

@@ -22,14 +22,18 @@ def _step(obj, x, xi, **kwargs):
     """:func:`adacubic_step` on the full objective from x, with the exact
     diagonal, which every Rademacher estimate equals on these diagonal
     Hessians."""
-    return adacubic_step(obj, x, xi, obj.exact_diag_hessian(x), obj.eval(x), obj.grad(x),
-                         **kwargs)
+    g = obj.grad(x)
+    return adacubic_step(obj, x, xi, obj.exact_diag_hessian(x), obj.eval(x), g,
+                         math.sqrt(g @ g), **kwargs)
 
 
 def test_the_step_takes_its_curvature_estimate_and_no_config():
-    # run alone holds the config and the probe stream
+    # run alone holds the config and the probe stream; the caller's stop
+    # test has taken ||g|| already, so the step takes it too, and must
     assert list(inspect.signature(adacubic_step).parameters) == [
-        "obj", "x", "xi", "b", "loss_before", "g", "batch", "iteration"]
+        "obj", "x", "xi", "b", "loss_before", "g", "g_norm", "batch", "iteration"]
+    assert inspect.signature(adacubic_step).parameters["g_norm"].default \
+        is inspect.Parameter.empty
     assert list(inspect.signature(update_xi).parameters) == ["xi", "rho", "step_norm_cubed"]
 
 

@@ -1,13 +1,15 @@
 """Config parsing, the experiment grid, CSV schemas, summaries, and the CLI
 with its deviation measurement."""
 
+import itertools
+import math
 import os
 import weakref
 
 import numpy as np
 import pytest
 
-from adacubic import cli, harness, verify
+from adacubic import IterationClass, StepRecord, SubproblemStatus, cli, harness, verify
 from adacubic.harness import (ConfigError, SUMMARY_HEADER, TRAJECTORY_HEADER,
                               build_problem, load_config, parse_config_text,
                               run_experiment)
@@ -442,6 +444,29 @@ def test_trajectory_csv_schema(tmp_path):
     assert first[8] in ("VerySuccessful", "Successful", "Unsuccessful")
     assert first[9] in ("Interior", "Boundary", "HardCase")
     assert first[10] in ("True", "False")
+
+
+def _reference_row(r):
+    """A trajectory CSV row as one % format reading each Enum's .value: the
+    reference for write_trajectory_csv."""
+    return "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s\n" % (
+        r.iteration, r.loss_before, r.loss_after, r.grad_norm, r.rho, r.nu, r.xi,
+        r.step_norm, r.status.value, r.subproblem_status.value, r.accepted)
+
+
+def test_trajectory_csv_bytes_match_a_reference_formatter(tmp_path):
+    # every iteration and subproblem class and both booleans, with NaN,
+    # +-inf, -0.0 and round-trip floats in each float column
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.1, 1.0 / 3.0, 5e-324, -1e300]
+    records = []
+    for i, (status, sub, accepted) in enumerate(itertools.product(
+            IterationClass, SubproblemStatus, (True, False))):
+        floats = [specials[(i + j) % len(specials)] for j in range(7)]
+        records.append(StepRecord(i, *floats, status, sub, accepted))
+    path = tmp_path / "t.csv"
+    harness.write_trajectory_csv(str(path), records)
+    want = TRAJECTORY_HEADER + "\n" + "".join(_reference_row(r) for r in records)
+    assert path.read_bytes() == want.encode()
 
 
 def test_experiment_determinism(tmp_path):

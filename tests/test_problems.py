@@ -1,6 +1,8 @@
 """Built-in objectives (HVPs against a central difference of the gradient),
 batching, and the brute-force subproblem reference in ``adacubic.verify``."""
 
+import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -82,6 +84,58 @@ def test_rosenbrock_hvp_and_diagonal_match_the_dense_hessian(d):
         diag = np.diag(H)
         err = float(np.max(np.abs(obj.exact_diag_hessian(x) - diag)))
         assert err <= 1e-13 * float(np.max(np.abs(diag)))
+
+
+class _CountingCallers:
+    """numpy, with the name of the function that calls ``zeros`` recorded."""
+
+    def __init__(self):
+        self.callers = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        self.callers.append(sys._getframe(1).f_code.co_name)
+        return np.zeros(*args, **kwargs)
+
+
+def test_a_rosenbrock_run_builds_one_diagonal_per_hvp_point(monkeypatch):
+    # a rejected step's next HVP is at the same iterate, which the objective
+    # keeps: it builds diag(x) once per distinct HVP point, not once per
+    # iteration
+    obj = make_rosenbrock(2)
+    points = []
+
+    def hvp(x, v, b=None):
+        points.append(x.tobytes())
+        return obj.hvp_fn(x, v, b)
+
+    counting = _CountingCallers()
+    monkeypatch.setattr(problems, "np", counting)
+    traj = run(dataclasses.replace(obj, hvp_fn=hvp), np.array([-1.2, 1.0]),
+               AdaCubicConfig(), 30, seed=1)
+    assert len(traj.records) == len(points) == 30
+    assert not all(r.accepted for r in traj.records)
+    assert counting.callers.count("diag") == len(set(points)) < 30
+
+
+def test_rosenbrock_hvps_at_kept_and_edited_points_equal_a_fresh_objectives():
+    # HVPs at x, x, x', x and at an x edited in place each equal, bit for
+    # bit, those of an objective that has kept nothing; the exact diagonal
+    # and an HVP are the caller's to edit
+    rng = np.random.default_rng(8)
+    x, x2 = rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.5, 1.5, 3)
+    V = rng.standard_normal((2, 3))
+    obj = make_rosenbrock(3)
+    for w in (x, x, x2, x):
+        assert np.array_equal(obj.hvp(w, V), make_rosenbrock(3).hvp(w, V))
+    x[1] = 0.25
+    assert np.array_equal(obj.hvp(x, V), make_rosenbrock(3).hvp(x, V))
+    obj.exact_diag_hessian(x)[:] = 7.0
+    obj.hvp(x, V)[:] = 7.0
+    assert np.array_equal(obj.hvp(x, V), make_rosenbrock(3).hvp(x, V))
+    assert np.array_equal(obj.exact_diag_hessian(x), make_rosenbrock(3).exact_diag_hessian(x))
 
 
 def test_saddle_analytics():
@@ -398,41 +452,143 @@ def test_logistic_batches_match_objectives_on_their_rows():
         np.testing.assert_array_equal(obj.hvp(w, v, batch), ref.hvp(w, v))
 
 
-def test_logistic_batches_are_safe_across_threads():
-    # more threads than cores call the oracle at once, each alternating two
-    # points on two batches and on the full batch, so most calls find
-    # another call's rows and points kept: every result must still be its
-    # value on an objective that has kept nothing, bit for bit
+def _in_threads(worker, workers=4):
+    """``worker(i)`` for i < ``workers`` in as many threads (more than this
+    host's cores), started together and switched often, inside the oracle
+    too; returns their results."""
+    start = threading.Barrier(workers, timeout=60)
+
+    def started(i):
+        start.wait()
+        return worker(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(started, i) for i in range(workers)]
+            return [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _swapping_before_each_line(name, swap):
+    """A ``sys.settrace`` hook that calls ``swap()`` before each line of
+    ``problems``' function ``name``, outside the frames that ``swap`` runs:
+    a call that read a kept pool again after its one snapshot would then
+    read another call's point."""
+    busy = False
+
+    def line(frame, event, arg):
+        nonlocal busy
+        if event == "line" and not busy:
+            busy = True
+            try:
+                swap()
+            finally:
+                busy = False
+        return line
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        if not busy and code.co_name == name and code.co_filename == problems.__file__:
+            return line
+        return None
+
+    return call
+
+
+def _swapped_calls(name, oracle, cases):
+    """(case, oracle(case)) for each case, three times over, with the next
+    other case in turn called before each line of ``name``; every swap's
+    own result is in the list too."""
+    results, turn, current = [], itertools.count(), None
+
+    def swap():
+        others = [case for case in cases if case != current]
+        case = others[next(turn) % len(others)]
+        results.append((case, oracle(case)))
+
+    old = sys.gettrace()
+    sys.settrace(_swapping_before_each_line(name, swap))
+    try:
+        for current in cases * 3:
+            results.append((current, oracle(current)))
+    finally:
+        sys.settrace(old)
+    return results
+
+
+def _logistic_threads_setup():
     X, y, rng = _logistic_data()
-    obj = make_logistic(X, y, 1e-2)
     points, v = [rng.standard_normal(4), rng.standard_normal(4)], rng.standard_normal(4)
     batches = [np.arange(0, 40, 2), np.arange(1, 40, 3), None]
-    cases = [(p, b) for b in range(3) for p in range(2)]
-    workers = 4
-    start = threading.Barrier(workers, timeout=60)
 
     def oracle(obj, case):
         w, batch = points[case[0]], batches[case[1]]
         return obj.eval(w, batch), obj.grad(w, batch), obj.hvp(w, v, batch)
 
-    def worker(first):
-        start.wait()
-        order = cases[first:] + cases[:first]
-        return [(case, oracle(obj, case)) for case in order * 50]
-
+    cases = [(p, b) for b in range(3) for p in range(2)]
     serial = {case: oracle(make_logistic(X, y, 1e-2), case) for case in cases}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the oracle too
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, i) for i in range(workers)]
-            runs = [future.result(timeout=120) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for case, (f, g, hv) in (item for run in runs for item in run):
+    return make_logistic(X, y, 1e-2), oracle, cases, serial
+
+
+def _assert_logistic_results(results, serial):
+    for case, (f, g, hv) in results:
         assert f == serial[case][0]
         np.testing.assert_array_equal(g, serial[case][1])
         np.testing.assert_array_equal(hv, serial[case][2])
+
+
+def test_logistic_batches_are_safe_across_threads():
+    # more threads than cores call the oracle at once, each alternating two
+    # points on two batches and on the full batch, so most calls find
+    # another call's rows and points kept: every result must still be its
+    # value on an objective that has kept nothing, bit for bit
+    obj, oracle, cases, serial = _logistic_threads_setup()
+
+    def worker(first):
+        order = cases[first:] + cases[:first]
+        return [(case, oracle(obj, case)) for case in order * 50]
+
+    _assert_logistic_results((item for run in _in_threads(worker) for item in run), serial)
+
+
+def test_logistic_point_reads_its_kept_points_once():
+    # another point or batch is kept anew before each line of point(), the
+    # window a thread switch can open: every result is still exact
+    obj, oracle, cases, serial = _logistic_threads_setup()
+    results = _swapped_calls("point", lambda case: oracle(obj, case), cases)
+    _assert_logistic_results(results, serial)
+
+
+def _rosenbrock_two_points():
+    rng = np.random.default_rng(13)
+    points = [rng.uniform(-1.5, 1.5, 3) for _ in range(2)]
+    V = rng.standard_normal((2, 3))
+    return points, V, [make_rosenbrock(3).hvp(x, V) for x in points]
+
+
+def test_rosenbrock_hvps_are_safe_across_threads():
+    # more threads than cores take HVPs at two points in turn, so most calls
+    # find the other point kept or keep theirs mid-call: every result is
+    # still that of an objective that has kept nothing, bit for bit
+    points, V, serial = _rosenbrock_two_points()
+    obj = make_rosenbrock(3)
+
+    def worker(first):
+        return [(i % 2, obj.hvp(points[i % 2], V)) for i in range(first, first + 2000)]
+
+    for i, hv in (item for run in _in_threads(worker) for item in run):
+        assert np.array_equal(hv, serial[i])
+
+
+def test_rosenbrock_hvp_reads_its_kept_point_once():
+    # the other point is kept anew before each line of hvp()
+    points, V, serial = _rosenbrock_two_points()
+    obj = make_rosenbrock(3)
+    for i, hv in _swapped_calls("hvp", lambda i: obj.hvp(points[i], V), [0, 1]):
+        assert np.array_equal(hv, serial[i])
 
 
 def test_logistic_sigmoid_overflow_is_silent_and_exact():
