@@ -299,8 +299,7 @@ def write_trajectory_csv(path: str, records: list) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
         for r in records:  # row by row: the file is never held in memory
-            # an Enum member's _value_ is its value, without the cost of the
-            # .value property
+            # an Enum member's _value_ is its value, without .value's property call
             fh.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s\n" % (
                 r.iteration, r.loss_before, r.loss_after, r.grad_norm, r.rho, r.nu,
                 r.xi, r.step_norm, r.status._value_, r.subproblem_status._value_,

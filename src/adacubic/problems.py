@@ -4,11 +4,12 @@ Every problem is an :class:`Objective`.  Stochastic objectives (finite-sum
 losses) additionally accept a batch of sample indices; ``batch=None`` means
 the full dataset.  All callables are pure in their results and safe to
 evaluate concurrently at distinct points.  The Rosenbrock objective keeps
-its last HVP point's Hessian diagonals.  The logistic objective keeps its
-last minibatch point, with that batch's rows, and its last two full-batch
-points: at each the margin, its sigmoid and the gradient (about 4n floats at
-the full batch), so the calls of one iteration gather their batch and
-compute each margin once.
+the Hessian's diagonal and off-diagonal at its last HVP point, keyed on its
+bytes (3d floats in all), so a rejected step's HVP reuses them.  The
+logistic objective keeps its last minibatch point, with that batch's rows,
+and its last two full-batch points: at each the margin, its sigmoid and the
+gradient (about 4n floats at the full batch), so the calls of one iteration
+gather their batch and compute each margin once.
 """
 
 from __future__ import annotations
@@ -95,9 +96,7 @@ def make_rosenbrock(d: int) -> Objective:
     """Chained Rosenbrock; global minimum at the all-ones vector.
 
     The Hessian is tridiagonal, so its diagonal and its products with a
-    vector cost O(d) and no d x d matrix is formed.  The objective keeps the
-    diagonal and the off-diagonal at its last HVP point, keyed on x's bytes
-    (2d floats).
+    vector cost O(d) and no d x d matrix is formed.
     """
     if d < 2:
         raise ValueError("rosenbrock needs d >= 2")
@@ -125,9 +124,8 @@ def make_rosenbrock(d: int) -> Objective:
         hi += 200.0
         return out
 
-    # the last HVP point (x's bytes, diag(x), H[i, i+1] = H[i+1, i]): read
-    # once and swapped whole, so that concurrent calls each see a consistent
-    # one; a rejected step's next HVP is at the same iterate
+    # (x's bytes, diag(x), H[i, i+1] = H[i+1, i]) at the last HVP point: read
+    # once and swapped whole, so that concurrent calls each see a consistent one
     kept = (None, None, None)
 
     def hvp(x, v, b=None):

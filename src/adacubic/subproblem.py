@@ -150,9 +150,8 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
         if gap <= KAPPA_EASY * r:
             if iters_to_band < 0:
                 iters_to_band = iters
-            # the stationarity residual is nu/2 (||s|| - r) s; rounding is
-            # monotone, so taking ||b s|| only when the other terms fail
-            # decides as one max of the three would
+            # the stationarity residual is nu/2 (||s|| - r) s; rounding is monotone,
+            # so ||b s|| taken only if the other terms fail decides as a max of all 3
             term = 0.5 * nu * float(np.maximum.reduce(np.abs(s)))
             res = term * gap
             if (res <= KKT_TOL * max(g_max, term * ns)
