@@ -472,19 +472,22 @@ def _in_threads(worker, workers=4):
         sys.setswitchinterval(interval)
 
 
-def _swapping_before_each_line(name, swap):
-    """A ``sys.settrace`` hook that calls ``swap()`` before each line of
-    ``problems``' function ``name``, outside the frames that ``swap`` runs:
-    a call that read a kept pool again after its one snapshot would then
-    read another call's point."""
-    busy = False
+def _swapped_calls(name, oracle, cases):
+    """(case, oracle(case)) for each case, three times over, under a
+    ``sys.settrace`` hook that calls the oracle at the next other case
+    before each line of ``problems``' function ``name``: a call that read a
+    kept pool again after its one snapshot would read another call's point.
+    Each of those calls' own results is in the list too."""
+    results, turn, current, busy = [], itertools.count(), None, False
 
     def line(frame, event, arg):
         nonlocal busy
         if event == "line" and not busy:
             busy = True
             try:
-                swap()
+                others = [case for case in cases if case != current]
+                case = others[next(turn) % len(others)]
+                results.append((case, oracle(case)))
             finally:
                 busy = False
         return line
@@ -495,22 +498,8 @@ def _swapping_before_each_line(name, swap):
             return line
         return None
 
-    return call
-
-
-def _swapped_calls(name, oracle, cases):
-    """(case, oracle(case)) for each case, three times over, with the next
-    other case in turn called before each line of ``name``; every swap's
-    own result is in the list too."""
-    results, turn, current = [], itertools.count(), None
-
-    def swap():
-        others = [case for case in cases if case != current]
-        case = others[next(turn) % len(others)]
-        results.append((case, oracle(case)))
-
     old = sys.gettrace()
-    sys.settrace(_swapping_before_each_line(name, swap))
+    sys.settrace(call)
     try:
         for current in cases * 3:
             results.append((current, oracle(current)))
