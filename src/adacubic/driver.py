@@ -4,7 +4,7 @@ update rules."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,8 +14,7 @@ from .problems import Objective, draw_batch
 from .subproblem import SubproblemStatus, root_finder
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     iteration: int
     loss_before: float
     loss_after: float
@@ -29,8 +28,7 @@ class StepRecord:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     records: list
     final_x: np.ndarray
 
@@ -92,7 +90,7 @@ def _iterate(obj: Objective, x0: np.ndarray, max_iters: int,
             loss, g_full = (rec.loss_after if full_batch else None), None
         elif full_batch and math.isnan(rec.rho):
             break  # a degenerate step: stationary model on the full objective
-    return Trajectory(records=records, final_x=x)
+    return Trajectory(records, x)
 
 
 def adacubic_step(obj: Objective, x: np.ndarray, xi: float, b: np.ndarray,
@@ -109,21 +107,19 @@ def adacubic_step(obj: Objective, x: np.ndarray, xi: float, b: np.ndarray,
     and xi is kept.  Returns (x', xi', record); x' is x when the step is
     rejected or degenerate.
     """
-    sol = root_finder(b, g, xi)
-    s = sol.s
-    step_norm = math.sqrt(s.dot(s))
+    s, nu, sub_status, _, _, decrease, step_norm = root_finder(b, g, xi)
     x_new = x + s
-    if sol.model_decrease > 0.0 and math.isfinite(sol.model_decrease):
+    if decrease > 0.0 and math.isfinite(decrease):
         loss_after = obj.eval(x_new, batch)
-        ratio = (loss_before - loss_after) / sol.model_decrease
+        ratio = (loss_before - loss_after) / decrease
         status, new_xi = update_xi(xi, ratio, step_norm ** 3)
     else:  # degenerate: the model predicts no decrease
         loss_after, ratio, status, new_xi = \
             loss_before, float("nan"), IterationClass.UNSUCCESSFUL, xi
     accepted = status is not IterationClass.UNSUCCESSFUL
     rec = StepRecord(iteration, loss_before, loss_after, g_norm, ratio,
-                     sol.nu, xi, step_norm, status, sol.status, accepted)
-    return (x_new if accepted else x.copy()), new_xi, rec
+                     nu, xi, step_norm, status, sub_status, accepted)
+    return (x_new if accepted else x), new_xi, rec
 
 
 def run(obj: Objective, x0: np.ndarray, cfg: AdaCubicConfig, max_iters: int,

@@ -298,12 +298,13 @@ def run_one(problem_params: dict, optimizer_params: dict, seed: int,
 def write_trajectory_csv(path: str, records: list) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for r in records:  # row by row: the file is never held in memory
-            # an Enum member's _value_ is its value, without .value's property call
+        # row by row: the file is never held in memory.  A record unpacks in
+        # field order, cheaper than reading its fields by name; an Enum
+        # member's _value_ is its value, without .value's property call
+        for k, before, after, g_norm, rho, nu, xi, s_norm, status, sub, accepted in records:
             fh.write("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s\n" % (
-                r.iteration, r.loss_before, r.loss_after, r.grad_norm, r.rho, r.nu,
-                r.xi, r.step_norm, r.status._value_, r.subproblem_status._value_,
-                r.accepted))
+                k, before, after, g_norm, rho, nu, xi, s_norm, status._value_, sub._value_,
+                accepted))
 
 
 def write_summary_csv(path: str, cells: dict, max_iters: int) -> None:

@@ -251,7 +251,9 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, l2: float = 0.0) -> 
     def diag(w):
         sig = point(w, None, 1)[2]
         weights = sig * (1.0 - sig)
-        return (weights[:, None] * X ** 2).mean(axis=0) + l2
+        sq = X ** 2  # the one n x d temporary, weighted in place
+        sq *= weights[:, None]
+        return sq.mean(axis=0) + l2
 
     return Objective(dim=d, eval_fn=f, grad_fn=g, hvp_fn=hvp,
                      exact_diag_fn=diag, num_samples=n)

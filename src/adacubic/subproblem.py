@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +38,14 @@ class SubproblemStatus(enum.Enum):
     HARD_CASE = "HardCase"
 
 
-@dataclass(frozen=True)
-class SubproblemSolution:
+class SubproblemSolution(NamedTuple):
     s: np.ndarray
     nu: float
     status: SubproblemStatus
     newton_iters: int
     newton_iters_to_band: int
     model_decrease: float
+    step_norm: float  # ||s||, as sqrt(s.dot(s))
 
 
 def _solve(b, g, nu: float, r: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -139,7 +139,7 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
             status = SubproblemStatus.HARD_CASE
             s, _ = hard_case_step(b, g, s, xi)
             ns = math.sqrt(s.dot(s))
-        return SubproblemSolution(s, nu, status, 0, 0, _model_decrease(b, g, s, nu, ns))
+        return SubproblemSolution(s, nu, status, 0, 0, _model_decrease(b, g, s, nu, ns), ns)
 
     # ||s||^3 > xi: the constraint is active and phi(nu, r) < 0 here
     g_max = float(np.maximum.reduce(np.abs(g)))
@@ -156,8 +156,8 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
             res = term * gap
             if (res <= KKT_TOL * max(g_max, term * ns)
                     or res <= KKT_TOL * float(np.maximum.reduce(np.abs(b * s)))):
-                return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
-                                          iters_to_band, _model_decrease(b, g, s, nu, ns))
+                return SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters, iters_to_band,
+                                          _model_decrease(b, g, s, nu, ns), ns)
         if iters == MAX_NEWTON_ITERS:
             break
         phi_val = 1.0 / ns - 1.0 / r
@@ -172,7 +172,7 @@ def root_finder(b: np.ndarray, g: np.ndarray, xi: float) -> SubproblemSolution:
         nu = proposal
         shift, s, ns = _solve(b, g, nu, r)
 
-    best = SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters,
-                              max(iters_to_band, 0), _model_decrease(b, g, s, nu, ns))
+    best = SubproblemSolution(s, nu, SubproblemStatus.BOUNDARY, iters, max(iters_to_band, 0),
+                              _model_decrease(b, g, s, nu, ns), ns)
     raise SolverStallError(
         f"dual Newton-bisection failed to converge after {iters} iterations", best)

@@ -10,9 +10,8 @@ module, so they add nothing to its import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -174,8 +173,7 @@ def dphi_dnu(b: np.ndarray, g: np.ndarray, nu: float, r: float) -> float:
     return _dphi(shift, s, ns, r)
 
 
-@dataclass(frozen=True)
-class KktResidual:
+class KktResidual(NamedTuple):
     stationarity: float
     min_shifted_curvature: float
     slackness: float

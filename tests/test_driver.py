@@ -9,10 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from adacubic import (AdaCubicConfig, IterationClass, Objective,
+from adacubic import (AdaCubicConfig, IterationClass, Objective, SubproblemSolution,
                       SubproblemStatus, adacubic_step, adam_step, driver, hutchinson,
                       make_quadratic, make_rosenbrock, make_saddle,
-                      make_synthetic_logistic, run, run_baseline, update_xi)
+                      make_synthetic_logistic, root_finder, run, run_baseline, update_xi,
+                      verify)
 from adacubic.config import ALPHA2, ETA1
 
 CFG = AdaCubicConfig()
@@ -76,7 +77,7 @@ def test_rejected_step_keeps_point_and_shrinks_xi():
     x_new, xi_new, rec = _step(lying, x, 8.0)
     assert not rec.accepted
     assert rec.status is IterationClass.UNSUCCESSFUL
-    np.testing.assert_array_equal(x_new, x)
+    assert x_new is x
     assert xi_new == max(ALPHA2 * rec.step_norm ** 3, CFG.eps_m)
 
 
@@ -89,7 +90,7 @@ def test_degenerate_stationary_step_is_terminal_record():
     assert rec.status is IterationClass.UNSUCCESSFUL
     assert rec.loss_after == rec.loss_before
     assert xi_new == rec.xi == 1.0
-    np.testing.assert_array_equal(x_new, x)
+    assert x_new is x
 
 
 def test_run_requires_positive_budget():
@@ -151,6 +152,44 @@ def test_different_seeds_differ_stochastically():
     b = run(obj, np.zeros(3), CFG, 10, batch_size=8, seed=1)
     assert any(ra.loss_before != rb.loss_before
                for ra, rb in zip(a.records, b.records))
+
+
+# ---------------------------------------------------------------------------
+# the result types
+# ---------------------------------------------------------------------------
+
+def _one_result_of_each_type():
+    b, g, xi = np.array([2.0, -1.0]), np.array([0.5, 0.25]), 1.0
+    sol = root_finder(b, g, xi)
+    traj = run(make_saddle(), np.array([0.5, 0.1]), CFG, 3)
+    return [traj.records[0], traj, sol, verify.kkt_residual(b, g, sol, xi)]
+
+
+@pytest.mark.parametrize("index", range(4), ids=[
+    "StepRecord", "Trajectory", "SubproblemSolution", "KktResidual"])
+def test_a_result_is_a_named_tuple_whose_fields_cannot_be_assigned(index):
+    result = _one_result_of_each_type()[index]
+    assert isinstance(result, tuple) and len(result) == len(result._fields)
+    for name in result._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
+
+
+def test_equal_records_hash_equal():
+    # two runs of one seed build equal records apart; a record holds no
+    # array, so it hashes, as a check's residual does
+    a, b = (run(make_saddle(), np.array([0.5, 0.1]), CFG, 5).records for _ in range(2))
+    assert a and a == b and all(p is not q for p, q in zip(a, b))
+    assert [hash(r) for r in a] == [hash(r) for r in b]
+    assert len(set(a + b)) == len(a)
+    x, y = (_one_result_of_each_type()[3] for _ in range(2))
+    assert x == y and hash(x) == hash(y)
+
+
+def test_the_solution_takes_its_step_norm_last():
+    assert SubproblemSolution._fields == (
+        "s", "nu", "status", "newton_iters", "newton_iters_to_band", "model_decrease",
+        "step_norm")
 
 
 # ---------------------------------------------------------------------------

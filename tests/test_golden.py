@@ -27,15 +27,15 @@ the file (none when the stored file is missing or unreadable); list them
 in CHANGES.md.
 Regenerating it on a new stack also means moving the Python, numpy and
 scipy pins of ``.github/workflows/tier1.yml`` to that stack, so that CI
-keeps taking the exact path.
+keeps taking the exact path; a test holds the Python and numpy pins to it.
 """
 
 import copy
-import dataclasses
 import hashlib
 import json
 import os
 import platform
+import re
 import sys
 import tempfile
 
@@ -291,6 +291,21 @@ def test_golden_file_is_what_regeneration_writes():
         assert fh.read() == dump(golden)
 
 
+WORKFLOW = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        ".github", "workflows", "tier1.yml")
+
+
+def test_ci_runs_on_the_stack_the_pin_was_written_on():
+    # elsewhere CI would pass on the tolerance path alone; no YAML package
+    # is installed, so the workflow's pins are read from its text
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        text = fh.read()
+    python = re.findall(r'^\s*python-version:\s*"?([^"\s]+)"?\s*$', text, re.M)
+    numpy = re.findall(r"\bnumpy==([^\s]+)", text)
+    stored = load()["stack"]
+    assert (python, numpy) == ([stored["python"]], [stored["numpy"]])
+
+
 def _changed(golden: dict, section: str, key: str, **values) -> dict:
     """A copy of ``golden`` whose ``section/key`` entry takes ``values``."""
     changed = copy.deepcopy(golden)
@@ -325,7 +340,7 @@ def test_one_record_changed_fails_the_exact_pin(edit, bite, tmp_path):
     change = {"loss_after one ulp up":
               {"loss_after": np.nextafter(rec.loss_after, np.inf)},
               "class flipped": {"status": IterationClass.SUCCESSFUL}}[edit]
-    nudged = records[:5] + [dataclasses.replace(rec, **change)] + records[6:]
+    nudged = records[:5] + [rec._replace(**change)] + records[6:]
     fresh = _changed(bite, "runs", BITE_RUN, sha256=digest(nudged))
     assert mismatches(bite, fresh) == [f"runs/{BITE_RUN}"]
 

@@ -446,6 +446,12 @@ def test_trajectory_csv_schema(tmp_path):
     assert first[10] in ("True", "False")
 
 
+def test_the_trajectory_header_names_the_record_fields_in_order():
+    # the writer unpacks a record by position, so the columns follow its fields
+    columns = [{"iter": "iteration"}.get(c, c) for c in TRAJECTORY_HEADER.split(",")]
+    assert columns == list(StepRecord._fields)
+
+
 def _reference_row(r):
     """A trajectory CSV row as one % format reading each Enum's .value: the
     reference for write_trajectory_csv."""

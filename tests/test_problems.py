@@ -6,6 +6,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -601,6 +602,23 @@ def test_logistic_sigmoid_overflow_is_silent_and_exact():
     np.testing.assert_array_equal(g, X.T @ (-y * sig) / n + l2 * w)
     np.testing.assert_array_equal(hv, X.T @ (weights * (X @ v)) / n + l2 * v)
     np.testing.assert_array_equal(diag, (weights[:, None] * X ** 2).mean(axis=0) + l2)
+
+
+def test_the_logistic_exact_diagonal_holds_one_n_by_d_temporary():
+    # X ** 2 weighted in place: a peak of about one n x d array, where the
+    # weighted product of a fresh X ** 2 would hold two
+    rng = np.random.default_rng(12)
+    n, d = 4000, 50
+    X = rng.standard_normal((n, d))
+    obj = make_logistic(X, np.where(rng.random(n) < 0.5, -1.0, 1.0), 1e-2)
+    w = 0.1 * rng.standard_normal(d)
+    tracemalloc.start()
+    try:
+        obj.exact_diag_hessian(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.nbytes < peak < 1.25 * X.nbytes
 
 
 def test_load_logistic_csv_roundtrip(tmp_path):

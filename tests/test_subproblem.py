@@ -360,6 +360,35 @@ def test_matches_brute_force_on_low_dimensions():
 
 
 # ---------------------------------------------------------------------------
+# the step norm, taken once by the solver
+# ---------------------------------------------------------------------------
+
+def _is_the_norm_of_s(sol):
+    # bit for bit sqrt(s.dot(s)), as np.linalg.norm computes ||s||
+    return sol.step_norm.hex() == math.sqrt(sol.s.dot(sol.s)).hex()
+
+
+@pytest.mark.parametrize("b, g, xi, status", [
+    ([1.0, 2.0], [-1.0, -2.0], 1000.0, SubproblemStatus.INTERIOR),
+    ([-1.0, 2.0], [0.0, 1.0], 0.5, SubproblemStatus.HARD_CASE),
+    ([0.0, 0.0], [0.0, 0.0], 1.0, SubproblemStatus.INTERIOR),   # b = g = 0: s = 0
+    ([0.0, 0.0], [3.0, -4.0], 1.0, SubproblemStatus.BOUNDARY),  # on it before any pass
+])
+def test_the_step_norm_is_the_norm_of_s_at_each_exit_before_the_loop(b, g, xi, status):
+    sol = root_finder(np.array(b), np.array(g), xi)
+    assert sol.status is status and sol.newton_iters == 0
+    assert _is_the_norm_of_s(sol)
+
+
+def test_the_step_norm_is_the_norm_of_s_on_every_kkt_instance(kkt_solved):
+    solutions = [sol for *_, sol in kkt_solved[0]]
+    assert {(sol.status, sol.newton_iters > 0) for sol in solutions} == {
+        (SubproblemStatus.INTERIOR, False), (SubproblemStatus.BOUNDARY, True)}
+    bad = [i for i, sol in enumerate(solutions) if not _is_the_norm_of_s(sol)]
+    assert not bad, f"{len(bad)} instances, first: {bad[:10]}"
+
+
+# ---------------------------------------------------------------------------
 # the stall path and the Newton budget
 # ---------------------------------------------------------------------------
 
@@ -374,6 +403,7 @@ def test_stall_raises_with_the_last_finite_iterate_after_the_budget(kkt_solved, 
     assert best.newton_iters == 3
     assert best.status is SubproblemStatus.BOUNDARY
     assert np.all(np.isfinite(best.s)) and np.isfinite(best.nu)
+    assert _is_the_norm_of_s(best)
     # a budget of exactly the passes a solve needs returns the same solution
     monkeypatch.setattr(subproblem, "MAX_NEWTON_ITERS", sol.newton_iters)
     exact = root_finder(b, g, xi)

@@ -2,7 +2,6 @@
 wrong step; and the module stays off the path that ``import adacubic`` and
 a run take."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -88,14 +87,14 @@ def _relabelled_boundary(sol):
     # nu = 0 keeps stationarity, curvature and slackness: only the radius
     # band can flag an interior step that claims the boundary
     if sol.status is subproblem.SubproblemStatus.INTERIOR:
-        return dataclasses.replace(sol, status=subproblem.SubproblemStatus.BOUNDARY)
+        return sol._replace(status=subproblem.SubproblemStatus.BOUNDARY)
     return sol
 
 
 def _negative_nu(sol):
     # the slackness band 4 KAPPA_EASY xi nu is negative too, so that check
     # flags it as well; criterion 1 tests the sign on its own
-    return dataclasses.replace(sol, nu=-1e-300) if sol.nu == 0.0 else sol
+    return sol._replace(nu=-1e-300) if sol.nu == 0.0 else sol
 
 
 @pytest.mark.parametrize("wrong", [_relabelled_boundary, _negative_nu])
@@ -121,7 +120,7 @@ def test_duality_suite_catches_a_shrunk_boundary_step(monkeypatch):
     def shrunk(b, g, xi):
         sol = root_finder(b, g, xi)
         if sol.status.value == "Boundary":
-            sol = dataclasses.replace(sol, s=0.9 * sol.s)
+            sol = sol._replace(s=0.9 * sol.s)
         return sol
 
     assert verify.duality_suite(n=10)[1]
@@ -136,7 +135,7 @@ def test_duality_probe_check_alone_catches_a_step_off_the_minimizer(monkeypatch)
     def moved(b, g, xi):
         sol = root_finder(b, g, xi)
         last["s"] = sol.s + 0.1
-        return dataclasses.replace(sol, s=last["s"])
+        return sol._replace(s=last["s"])
 
     # the grid reference agrees with the moved step, so only the probes
     # over the cubic model can flag it
