@@ -114,7 +114,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key = key.strip()
         if key in params:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
-        # out and data name paths, so their text is kept as written
+        # out and data name paths, so their text is kept as written, up to
+        # the '#' that starts a comment in every value
         params[key] = raw.strip() if key in ("out", "data") else parse_value(raw)
     for key, value in run_params.items():
         _apply_run_key(cfg, key, value)
@@ -248,20 +249,26 @@ def _as_array(value, key: str) -> np.ndarray:
 
 
 def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
-    """Instantiate a problem section; returns (objective, x0)."""
+    """Instantiate a problem section; returns (objective, x0). A vector the
+    section sets is checked by _as_array; a default is a constant that numpy
+    builds whole, with no per-element Python work."""
     kind = _checked_kind(params, _PROBLEM_KEYS)
     if kind == "quadratic":
-        diag = _as_array(params.get("diag", [1.0]), "diag")
-        g0 = _as_array(params.get("g0", [0.0] * diag.size), "g0")
+        diag = _as_array(params["diag"], "diag") if "diag" in params else np.ones(1)
+        g0 = _as_array(params["g0"], "g0") if "g0" in params else np.zeros(diag.size)
         obj = make_quadratic(diag, g0)
-        x0 = _as_array(params.get("x0", [1.0] * diag.size), "x0")
+        x0 = _as_array(params["x0"], "x0") if "x0" in params else np.ones(diag.size)
     elif kind == "rosenbrock":
         d = _checked_int("dim", params.get("dim", 2))
         obj = make_rosenbrock(d)
-        x0 = _as_array(params.get("x0", [-1.2] + [1.0] * (d - 1)), "x0")
+        if "x0" in params:
+            x0 = _as_array(params["x0"], "x0")
+        else:
+            x0 = np.ones(d)
+            x0[0] = -1.2
     elif kind == "saddle":
         obj = make_saddle()
-        x0 = _as_array(params.get("x0", [0.0, 0.0]), "x0")
+        x0 = _as_array(params["x0"], "x0") if "x0" in params else np.zeros(2)
     else:  # logistic
         l2 = _as_float("l2", params.get("l2", 0.0))
         if "data" in params:
@@ -274,7 +281,7 @@ def build_problem(params: dict) -> tuple[Objective, np.ndarray]:
             d = _checked_int("dim", params.get("dim", 5))
             seed = _checked_int("data_seed", params.get("data_seed", 0), least=0)
             obj = make_synthetic_logistic(n, d, l2, seed)
-        x0 = _as_array(params.get("x0", [0.0] * obj.dim), "x0")
+        x0 = _as_array(params["x0"], "x0") if "x0" in params else np.zeros(obj.dim)
     if x0.size != obj.dim:
         raise ConfigError(f"x0 has length {x0.size}, problem dimension is {obj.dim}")
     return obj, x0

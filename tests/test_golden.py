@@ -306,6 +306,16 @@ def test_ci_runs_on_the_stack_the_pin_was_written_on():
     assert (python, numpy) == ([stored["python"]], [stored["numpy"]])
 
 
+def test_ci_token_can_only_read_the_repository():
+    # the job checks out the repository and runs the tests, nothing more;
+    # the one top-level permissions block grants exactly that
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        text = fh.read()
+    blocks = re.findall(r"^( *)permissions:(.*)\n((?:\1 +\S.*\n)*)", text, re.M)
+    assert [(indent, rest.strip(), body.split()) for indent, rest, body in blocks] == \
+        [("", "", ["contents:", "read"])]
+
+
 def _changed(golden: dict, section: str, key: str, **values) -> dict:
     """A copy of ``golden`` whose ``section/key`` entry takes ``values``."""
     changed = copy.deepcopy(golden)

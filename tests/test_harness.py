@@ -4,6 +4,7 @@ with its deviation measurement."""
 import itertools
 import math
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ from adacubic import IterationClass, StepRecord, SubproblemStatus, cli, harness,
 from adacubic.harness import (ConfigError, SUMMARY_HEADER, TRAJECTORY_HEADER,
                               build_problem, load_config, parse_config_text,
                               run_experiment)
-from adacubic.problems import make_synthetic_logistic
+from adacubic.problems import make_quadratic, make_synthetic_logistic
 
 HUGE = "9" * 400  # an integer beyond the largest float, about 1.8e308
 MINIMAL = "[problem.p]\nkind = saddle\n[optimizer.o]\nkind = sgd\n"
@@ -258,15 +259,47 @@ def test_config_errors_name_offender(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_build_problem_kinds():
+def _listed(array, values) -> bool:
+    """Whether a default holds the float64 bytes of the list ``values``,
+    converted as _as_array converts a written value."""
+    listed = np.array(values, dtype=float, ndmin=1)
+    return array.dtype == np.float64 and array.tobytes() == listed.tobytes()
+
+
+def test_build_problem_kinds(monkeypatch):
+    given = {}
+
+    def seen(diag, g0):
+        given.update(diag=diag, g0=g0)
+        return make_quadratic(diag, g0)
+
+    monkeypatch.setattr(harness, "make_quadratic", seen)
     obj, x0 = build_problem({"kind": "quadratic", "diag": [1, 2], "g0": [0, 0]})
     assert obj.dim == 2
-    obj, x0 = build_problem({"kind": "rosenbrock", "dim": 3})
-    assert obj.dim == 3 and x0[0] == -1.2
+    obj, x0 = build_problem({"kind": "quadratic", "diag": [1, 2, 3]})
+    assert obj.dim == 3 and _listed(given["g0"], [0.0] * 3) and _listed(x0, [1.0] * 3)
+    obj, x0 = build_problem({"kind": "quadratic"})
+    assert _listed(given["diag"], [1.0]) and _listed(given["g0"], [0.0])
+    assert _listed(x0, [1.0])
+    for d in (2, 3, 1000):
+        obj, x0 = build_problem({"kind": "rosenbrock", "dim": d})
+        assert obj.dim == d and _listed(x0, [-1.2] + [1.0] * (d - 1))
     obj, x0 = build_problem({"kind": "saddle"})
-    assert obj.dim == 2
+    assert obj.dim == 2 and _listed(x0, [0.0, 0.0])
     obj, x0 = build_problem({"kind": "logistic", "n": 50, "dim": 4, "l2": 0.01})
-    assert obj.dim == 4 and obj.num_samples == 50
+    assert obj.dim == 4 and obj.num_samples == 50 and _listed(x0, [0.0] * 4)
+
+
+def test_a_default_start_is_built_without_a_python_list():
+    # numpy builds a default x0 whole: a traced peak of about the one
+    # float64 vector, where a Python list of d floats, converted, holds two
+    tracemalloc.start()
+    try:
+        build_problem({"kind": "rosenbrock", "dim": 10 ** 6})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * 10 ** 6
 
 
 def test_build_problem_from_csv(tmp_path):
@@ -279,9 +312,12 @@ def test_build_problem_from_csv(tmp_path):
     assert obj.num_samples == 8 and obj.dim == 2
 
 
-@pytest.mark.parametrize("written", ["007", "1e5", "runs,v2"])
-def test_out_is_taken_as_written(written):
-    assert parse_config_text(f"[run]\nout = {written}  # a path\n" + MINIMAL).out == written
+# as written, up to a '#': it starts a comment in every value, paths too
+@pytest.mark.parametrize("written, out", [("007", "007"), ("1e5", "1e5"),
+                                          ("runs,v2", "runs,v2"), ("runs#2", "runs")],
+                         ids=["007", "1e5", "runs,v2", "runs#2"])
+def test_out_is_taken_as_written(written, out):
+    assert parse_config_text(f"[run]\nout = {written}  # a path\n" + MINIMAL).out == out
 
 
 def test_empty_out_is_a_config_error():
